@@ -21,14 +21,13 @@ Re-exported here:
 * :class:`SecureTrainer` / :func:`secure_predict` — drivers;
 * :class:`Telemetry` — the observability surface every context owns.
 
-Deep imports (``repro.core.…``, ``repro.pipeline.trace_export``) keep
-working; the deprecated ones emit a single :class:`DeprecationWarning`.
-See README.md for a quickstart and DESIGN.md for the system inventory.
+Deep imports (``repro.core.…``, ``repro.telemetry.export``) keep
+working.  See README.md for a quickstart and DESIGN.md for the system inventory.
 """
 
 from repro import api
 from repro.core.config import FrameworkConfig
-from repro.faults import FaultPlan, PartyCrash, PartyFailure, ReliableTransport, RetryPolicy
+from repro.faults import FaultPlan, PartyCrash, PartyFailure, RetryPolicy
 from repro.core.context import SecureContext
 from repro.core.inference import InferenceReport, secure_predict
 from repro.core.models import (
@@ -57,7 +56,6 @@ from repro.serve import (
     FleetRouter,
     QueueFullError,
     Replica,
-    SecureInferenceServer,
     SecureServingFleet,
     ServeReport,
 )
@@ -110,14 +108,12 @@ __all__ = [
     "SecureServingFleet",
     "FleetRouter",
     "DealerService",
-    "SecureInferenceServer",
     "ServeReport",
     "QueueFullError",
     "FaultPlan",
     "PartyCrash",
     "PartyFailure",
     "RetryPolicy",
-    "ReliableTransport",
     "audit",
     "protocols",
     "get_backend",

@@ -7,9 +7,8 @@ traffic is independent of the secrets.  Those claims are only testable
 if the wire is observable, so this module gives every run a flight
 recorder:
 
-* :class:`TranscriptRecorder` taps the transport surfaces (the
-  :class:`~repro.comm.transport.TransportHub` frame path and the
-  lockstep ``record_wire`` hooks in :mod:`repro.core`) and appends one
+* :class:`TranscriptRecorder` taps the ``record_wire`` hooks in
+  :mod:`repro.core` and the protocol backends and appends one
   :class:`TranscriptRecord` per message — source, destination, tag,
   wire byte size, a content digest, and the simulated clock time.
 * :class:`Transcript` is the immutable result: JSON dump/load for CI
@@ -31,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.comm.wire import (  # noqa: F401  (re-exported: historical home)
     canonical_bytes,
@@ -40,9 +39,6 @@ from repro.comm.wire import (  # noqa: F401  (re-exported: historical home)
     payload_digest,
 )
 from repro.util.errors import AuditError, TranscriptMismatch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.comm.transport import TransportHub
 
 #: Sequence fields that must match record-for-record for two transcripts
 #: to be considered the same protocol run.  The clock column is compared
@@ -225,17 +221,11 @@ class Transcript:
 
 
 class TranscriptRecorder:
-    """Append-only message tap shared by all transport surfaces.
+    """Append-only message tap behind :meth:`SecureContext.record_wire`.
 
-    Two kinds of traffic reach it:
-
-    * **frames** via :meth:`tap_hub` — everything the actor runtime and
-      the reliable transport push through a ``TransportHub`` (including
-      retransmissions and duplicates, which is the point: the recorder
-      sees the wire, not the protocol's idea of it);
-    * **lockstep wire charges** via :meth:`record` — the masked-opening
-      and share-upload hooks in :mod:`repro.core`, which never touch a
-      hub because their cost is charged directly on the channels.
+    Every wire charge reaches it via :meth:`record` — the masked-opening,
+    comparison and share-upload hooks in :mod:`repro.core` and the
+    protocol backends, whose cost is charged directly on the channels.
 
     The overhead budget is one digest per message; payload capture (for
     the chi-square wire audit) is opt-out via ``capture_payloads``.
@@ -306,25 +296,6 @@ class TranscriptRecorder:
             self._msg_counter.inc(1, link=f"{src}->{dst}")
             self._byte_counter.inc(int(nbytes), link=f"{src}->{dst}")
         return rec
-
-    def tap_hub(self, hub: "TransportHub", *, clock=None) -> Callable:
-        """Attach to a hub; every ``send`` is recorded as a frame.
-
-        Returns the tap callable so callers can detach it later with
-        :meth:`TransportHub.remove_tap`.
-        """
-
-        def tap(src: str, dst: str, tag: str, payload: Any) -> None:
-            body = content_bytes(payload)
-            self.record(
-                src, dst, f"frame/{tag}", payload,
-                nbytes=len(body),
-                clock_s=clock.now() if clock is not None else 0.0,
-                content=body,
-            )
-
-        hub.add_tap(tap)
-        return tap
 
     def transcript(self) -> Transcript:
         return Transcript(self._records, meta=self.meta)

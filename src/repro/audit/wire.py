@@ -141,11 +141,10 @@ def audit_transcript(
     is skipped, not judged.
 
     Repeated identical messages count once: a static operand re-sends
-    the same masked difference every batch (same cached triplet), and
-    retransmissions replay journalled frames verbatim.  An exact repeat
-    gives a passive observer nothing new, but double-counting its byte
-    histogram would scale the chi-square statistic by the repeat factor
-    and fail uniform traffic spuriously.
+    the same masked difference every batch (same cached triplet).  An
+    exact repeat gives a passive observer nothing new, but
+    double-counting its byte histogram would scale the chi-square
+    statistic by the repeat factor and fail uniform traffic spuriously.
     """
     audits: list[LinkAudit] = []
     for src, dst in transcript.links():
@@ -210,9 +209,7 @@ def assert_byte_accounting(transcript: Transcript, telemetry, *, context: str = 
     ``(src, dst)`` — if the framed codec ever sized a message differently
     from what the simulator charged, the two ledgers diverge here.
 
-    Hub-tapped ``frame/`` records are excluded: actor-runtime traffic is
-    charged by the reliable transport, which may retransmit.  The check
-    is only meaningful on fault-free runs — retransmissions and injected
+    The check is only meaningful on fault-free runs — retransmissions and injected
     duplicates charge the channel without a matching lockstep record —
     so nonzero ``faults.*`` activity is rejected up front.
     """
@@ -226,8 +223,6 @@ def assert_byte_accounting(transcript: Transcript, telemetry, *, context: str = 
             )
     recorded: dict[tuple[str, str], int] = {}
     for r in transcript:
-        if r.tag.startswith("frame/"):
-            continue
         recorded[(r.src, r.dst)] = recorded.get((r.src, r.dst), 0) + r.nbytes
     comm_bytes = reg.counter("comm.bytes")
     mismatches = []

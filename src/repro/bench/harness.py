@@ -523,8 +523,7 @@ class WireComparisonResult:
 
     ``cells`` holds one entry per :data:`WIRE_MODES` mode; the checksum
     fields are the per-call microseconds of the frame-CRC payload
-    checksum vs the historical pickle-then-CRC on a 512x512 ring matrix
-    (the ReliableTransport per-frame hotspot the codec replaced).
+    checksum vs the historical pickle-then-CRC on a 512x512 ring matrix.
     """
 
     spec: WorkloadSpec

@@ -18,8 +18,7 @@ makes the wire form explicit:
   overhead (headers), so channels charge what actually crosses the
   transport and telemetry can report ``comm.frame_overhead_bytes``.
 * **Fast checksums** — :func:`payload_checksum` CRCs the frame chunks
-  incrementally (raw array buffers, no per-message ``pickle.dumps``),
-  replacing the ReliableTransport hotspot.
+  incrementally (raw array buffers, no per-message ``pickle.dumps``).
 * **Round coalescing** — :class:`RoundCoalescer` packs small same-round
   messages per directed link into one framed message (the Eq. 5 E/F
   pair being the dominant case), amortizing per-message latency.  A

@@ -31,7 +31,6 @@ from contextlib import contextmanager
 
 from repro.core.tensor import SharedTensor
 from repro.simgpu.clock import Task
-from repro.util.deprecation import warn_deprecated
 from repro.util.errors import ProtocolError, ShapeError
 
 __all__ = [
@@ -187,11 +186,8 @@ def secure_softmax(x: SharedTensor, *, label: str = "softmax") -> SharedTensor:
         return ctx.backend.softmax(ctx, x, label=label)
 
 
-_KIND_UNSET = object()
-
-
 def activation(
-    x: SharedTensor, *args, kind=_KIND_UNSET, label: str = "act"
+    x: SharedTensor, *, kind: str = "relu", label: str = "act"
 ) -> tuple[SharedTensor, SharedTensor]:
     """Secure activation; returns (output, derivative-mask).
 
@@ -200,37 +196,18 @@ def activation(
     * ``piecewise`` — the paper's Eq. 9 (a hard sigmoid): 0 below -1/2,
       ``x + 1/2`` inside, 1 above 1/2; used where an upper-bounded
       activation is required (logistic regression).
-
-    ``kind`` is keyword-only in the blessed form; passing it positionally
-    still works but emits a :class:`DeprecationWarning`.
     """
-    if args:
-        if len(args) > 1 or kind is not _KIND_UNSET:
-            raise TypeError("activation() takes one tensor plus keyword arguments")
-        warn_deprecated(
-            "ops.activation.positional-kind",
-            "passing 'kind' positionally to repro.core.ops.activation is deprecated; "
-            "use activation(x, kind=..., label=...)",
-        )
-        kind = args[0]
-    elif kind is _KIND_UNSET:
-        kind = "relu"
-    ctx = x.ctx
-    with _op_scope(ctx, "activation", label):
-        return _activation_body(x, kind, label=label)
-
-
-def _activation_body(x, kind, *, label: str):
-    if kind == "relu":
-        mask = secure_compare_const(x, 0.0, label=f"{label}:ge0")
-        out = secure_elementwise_mul(x, mask, label=f"{label}:mul")
-        return out, mask
-    if kind == "piecewise":
-        b1 = secure_compare_const(x, -0.5, label=f"{label}:ge-half")
-        b2 = secure_compare_const(x, 0.5, label=f"{label}:ge+half")
-        inside = b1 - b2  # indicator of the linear segment
-        shifted = x.add_public(0.5)
-        linear = secure_elementwise_mul(shifted, inside, label=f"{label}:mul")
-        out = linear + b2.to_fixed()
-        return out, inside
-    raise ProtocolError(f"unknown activation kind {kind!r}")
+    with _op_scope(x.ctx, "activation", label):
+        if kind == "relu":
+            mask = secure_compare_const(x, 0.0, label=f"{label}:ge0")
+            out = secure_elementwise_mul(x, mask, label=f"{label}:mul")
+            return out, mask
+        if kind == "piecewise":
+            b1 = secure_compare_const(x, -0.5, label=f"{label}:ge-half")
+            b2 = secure_compare_const(x, 0.5, label=f"{label}:ge+half")
+            inside = b1 - b2  # indicator of the linear segment
+            shifted = x.add_public(0.5)
+            linear = secure_elementwise_mul(shifted, inside, label=f"{label}:mul")
+            out = linear + b2.to_fixed()
+            return out, inside
+        raise ProtocolError(f"unknown activation kind {kind!r}")

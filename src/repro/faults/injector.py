@@ -8,8 +8,8 @@ outcomes.  Retransmissions advance the link index, which is what lets a
 dropped message eventually get through under any rate < 1.
 
 The injector also tracks the scripted state: a monotonically increasing
-*step* counter (consumers decide what a step means — a sent message for
-the transport, a batch for the drivers), which crash specs key off, and
+*step* counter (the drivers advance it once per batch), which crash
+specs key off, and
 the set of currently-crashed parties.  Every injected fault and every
 restart is recorded in the telemetry registry under ``faults.*``.
 """

@@ -1,41 +1,11 @@
-"""Message-driven protocol runtime: client and server *actors*.
+"""Event-driven dataflow scheduling for the simulated clock.
 
-:mod:`repro.core` executes both servers in lockstep inside one process —
-ideal for simulation and benchmarking, since one object can charge both
-timelines.  This package is the *deployable* form of the same protocol:
-three actors (one client, two servers) that communicate **only** through
-the transport interface of :mod:`repro.comm` — the loopback hub
-in-process, or :class:`~repro.comm.mpi_backend.MPITransport` across
-ranks on a real cluster.
-
-The actors cover the protocol surface a serving deployment needs:
-uploading shared inputs and models, secure matrix products (Eqs. 4-8
-with local truncation), and multi-layer dense forward passes.  Tests
-assert bit-equality between actor-run protocols and the lockstep
-reference, which is what certifies the simulation's transcripts as the
-real thing.
+:class:`DataflowClock` wraps :class:`~repro.simgpu.clock.SimClock` with
+deferred :class:`PendingTask` handles and re-times the recorded task
+graph with an earliest-start list scheduler at each flush point
+(``FrameworkConfig(runtime="dataflow")``).
 """
 
-from repro.runtime.actors import (
-    ClientActor,
-    ServerActor,
-    run_dense_forward,
-    run_matmul,
-    run_matmuls_interleaved,
-)
 from repro.runtime.dataflow import DataflowClock, PendingTask
-from repro.runtime.messages import MatmulMaterial, TAG_MATERIAL, TAG_MASKED, TAG_RESULT
 
-__all__ = [
-    "ClientActor",
-    "DataflowClock",
-    "PendingTask",
-    "ServerActor",
-    "run_matmul",
-    "run_matmuls_interleaved",
-    "run_dense_forward",
-    "MatmulMaterial",
-    "TAG_MATERIAL",
-    "TAG_MASKED",
-    "TAG_RESULT",
-]
+__all__ = ["DataflowClock", "PendingTask"]

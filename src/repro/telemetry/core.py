@@ -28,7 +28,6 @@ Metric naming conventions (dots group, labels discriminate):
 ``mpc.mask_reuse.bytes_saved{side}``  inter-server bytes not sent thanks to it
 ``ops.invocations{op}``               secure-op call counts
 ``ops.online_seconds{op}``            online makespan attributed per op
-``runtime.messages{actor,direction}`` actor-level message counts
 ``phase.sim_seconds{clock}``          gauge: each clock's frontier at snapshot
 ``faults.injected{kind,link}``        fault events injected (repro.faults)
 ``faults.retransmits{link}``          frames/messages retransmitted

@@ -1,7 +1,6 @@
 """Exporters: Chrome tracing, JSON summary, plaintext report.
 
-This module subsumes :mod:`repro.pipeline.trace_export` (now a
-deprecated shim that delegates here).  Three output formats:
+Three output formats:
 
 * :func:`chrome_trace_events` / :func:`export_chrome_trace` — the
   ``chrome://tracing`` / Perfetto event-list format.  Works on a bare
@@ -64,7 +63,7 @@ def chrome_trace_events(
     """Chrome-tracing events for a ``SimClock`` or a ``Telemetry``.
 
     For a clock: each resource becomes a thread, each task a complete
-    (``ph: "X"``) event — the historical ``trace_export`` behaviour.
+    (``ph: "X"``) event.
     For a telemetry instance: one process per registered clock (named
     ``<process_name>:<clock>``), plus a ``spans`` thread per clock
     carrying the recorded spans at their simulated timestamps.

@@ -1,9 +1,7 @@
 """The public API facade: ``repro``/``repro.api`` exports, session
-wiring, and the deprecation shims (each warns exactly once)."""
+wiring, and the expired deprecations (the old spellings fail loudly)."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +9,6 @@ import pytest
 import repro
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
-from repro.util.deprecation import reset_deprecation_warnings
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_state():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 class TestFacade:
@@ -36,7 +26,6 @@ class TestFacade:
 
     def test_deep_imports_keep_working(self):
         from repro.core.context import SecureContext as deep  # noqa: F401
-        from repro.pipeline import trace_export  # noqa: F401
         from repro.telemetry import export_chrome_trace  # noqa: F401
 
 
@@ -87,59 +76,13 @@ class TestSession:
 
 
 class TestDeprecations:
-    def _count(self, fn) -> int:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn()
-        return sum(1 for w in caught if issubclass(w.category, DeprecationWarning))
-
-    def test_trace_export_shims_warn_exactly_once(self, tmp_path):
-        from repro.pipeline import trace_export
-
-        clock = repro.api.session().online_clock
-        assert self._count(lambda: trace_export.chrome_trace_events(clock)) == 1
-        assert self._count(lambda: trace_export.chrome_trace_events(clock)) == 0
-        assert (
-            self._count(
-                lambda: trace_export.export_chrome_trace(clock, tmp_path / "t.json")
-            )
-            == 1
-        )
-        assert (
-            self._count(
-                lambda: trace_export.export_chrome_trace(clock, tmp_path / "t2.json")
-            )
-            == 0
-        )
-
-    def test_positional_activation_kind_warns_exactly_once(self):
-        ctx = repro.api.session()
-        rng = np.random.default_rng(0)
-        x = repro.SharedTensor.from_plain(ctx, rng.normal(size=(4, 4)))
-        assert self._count(lambda: repro.activation(x, "relu")) == 1
-        assert self._count(lambda: repro.activation(x, "relu")) == 0
-        # keyword form never warns
-        assert self._count(lambda: repro.activation(x, kind="relu")) == 0
-
     def test_activation_rejects_ambiguous_calls(self):
+        """``kind`` is keyword-only: the old positional spelling raises."""
         ctx = repro.api.session()
         x = repro.SharedTensor.from_plain(ctx, np.zeros((2, 2)))
+        with pytest.raises(TypeError):
+            repro.activation(x, "relu")
         with pytest.raises(TypeError):
             repro.activation(x, "relu", kind="relu")
         with pytest.raises(TypeError):
             repro.activation(x, "relu", "sigmoid")
-
-    def test_shim_output_matches_new_exporter(self):
-        from repro.pipeline import trace_export
-        from repro.telemetry import chrome_trace_events
-
-        ctx = repro.api.session(trace=True)
-        rng = np.random.default_rng(0)
-        a = repro.SharedTensor.from_plain(ctx, rng.normal(size=(8, 6)))
-        b = repro.SharedTensor.from_plain(ctx, rng.normal(size=(6, 4)))
-        repro.secure_matmul(a, b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = trace_export.chrome_trace_events(ctx.online_clock)
-        new = chrome_trace_events(ctx.online_clock)
-        assert old == new

@@ -8,8 +8,7 @@ Three layers of guarantees:
 * **property (hypothesis)** — for arbitrary task DAGs the finalized
   schedule respects every dependency and resource serialisation, never
   worsens the lockstep makespan, and is monotone non-increasing vs the
-  no-overlap (fully chained) ablation; for arbitrary actor firing
-  orders the protocol transcript stays bit-identical;
+  no-overlap (fully chained) ablation;
 * **integration** — a dataflow-mode context trains to bit-identical
   predictions with a no-worse makespan (the conformance sweep covers
   all six models; see also benchmarks/test_runtime_regression.py).
@@ -241,60 +240,6 @@ class TestSchedulerProperties:
 # -- hypothesis: actor firing order is value-free ------------------------------
 
 @pytest.mark.property
-class TestFiringOrderProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(st.permutations(list(range(4))), st.integers(0, 2**32 - 1))
-    def test_any_topological_firing_order_is_bit_identical(self, order, seed):
-        """K in-flight matmuls finished in any order reconstruct the
-        exact bytes of the sequential lockstep run."""
-        from repro.comm.mpi_backend import LoopbackTransport
-        from repro.runtime import ClientActor, ServerActor, run_matmul
-
-        rng = np.random.default_rng(seed)
-        ops = [
-            (f"op{i}", rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
-            for i in range(4)
-        ]
-
-        def actors():
-            hub = LoopbackTransport()
-            return (
-                ClientActor(hub.as_role("client"), seed=9),
-                (ServerActor(0, hub.as_role("server0")), ServerActor(1, hub.as_role("server1"))),
-            )
-
-        # reference: strictly sequential, program order
-        client, servers = actors()
-        reference = {
-            label: run_matmul(client, servers, a, b, label=label)
-            for label, a, b in ops
-        }
-
-        # permuted firing: all exchanges staged, finished in `order`
-        client, servers = actors()
-        for label, a, b in ops:
-            client.dispatch_matmul(label, a, b)
-        for s in servers:
-            for label, _a, _b in ops:
-                s.receive_material(label)
-        for s in servers:
-            for label, _a, _b in ops:
-                s.send_masked(label)
-        results = {}
-        for i in order:
-            label = ops[i][0]
-            for s in servers:
-                s.finish_matmul(label)
-            results[label] = client.collect(label)
-        for actor in (client, *servers):
-            actor.assert_idle()
-
-        for label, _a, _b in ops:
-            np.testing.assert_array_equal(results[label], reference[label])
-
-
-# -- integration: a dataflow context end to end --------------------------------
-
 class TestDataflowContext:
     def test_train_bit_identical_and_no_worse_makespan(self):
         import repro

@@ -1,24 +1,18 @@
-"""repro.faults: deterministic injection, resilient delivery, recovery."""
+"""repro.faults: deterministic injection, retry policy, blame records."""
 
-import numpy as np
 import pytest
 
-from repro.comm.mpi_backend import LoopbackTransport
-from repro.comm.transport import TransportHub
 from repro.faults import (
     FaultInjector,
     FaultPlan,
     LinkPartition,
     PartyCrash,
     PartyFailure,
-    ReliableTransport,
     RetryPolicy,
 )
 from repro.faults.blame import BlameRecord
 from repro.faults.injector import DELIVER
-from repro.faults.reliable import corrupt_payload, payload_checksum
-from repro.runtime import ClientActor, ServerActor, run_matmul
-from repro.util.errors import ConfigError, TransportError
+from repro.util.errors import ConfigError
 
 
 class TestFaultPlan:
@@ -115,141 +109,6 @@ class TestFaultInjector:
         # a fired crash spec does not re-fire after restart
         inj.advance_step(5)
         assert not inj.crashed("server1")
-
-
-class TestCorruption:
-    def test_corrupt_payload_flips_one_bit_in_a_copy(self):
-        original = np.arange(16, dtype=np.uint64)
-        mangled = corrupt_payload(original, draw=12345)
-        assert mangled is not original
-        assert np.count_nonzero(mangled != original) == 1
-        assert np.array_equal(original, np.arange(16, dtype=np.uint64))
-
-    def test_checksum_catches_the_flip(self):
-        payload = {"x": np.ones(8), "note": "hello"}
-        before = payload_checksum(payload)
-        assert payload_checksum(corrupt_payload(payload, draw=7)) != before
-
-    def test_array_free_payload_is_wrapped_not_crashed(self):
-        mangled = corrupt_payload({"note": "no arrays here"}, draw=3)
-        assert payload_checksum(mangled) != payload_checksum({"note": "no arrays here"})
-
-
-class TestReliableTransport:
-    def test_lossy_link_still_delivers_in_order(self):
-        plan = FaultPlan(seed=1, drop=0.3, duplicate=0.2, corrupt=0.1, delay=0.1)
-        transport = ReliableTransport(plan=plan, policy=RetryPolicy(max_retries=16))
-        sent = [np.full((3,), fill_value=float(i)) for i in range(12)]
-        for msg in sent:
-            transport.send("server0", "server1", "data", msg)
-        got = [transport.recv("server1", "server0", "data") for _ in range(12)]
-        for a, b in zip(sent, got):
-            np.testing.assert_array_equal(a, b)
-        c = transport.counters
-        assert c.retransmits.value() > 0 or c.duplicates_suppressed.value() > 0
-
-    def test_corruption_is_detected_and_healed(self):
-        plan = FaultPlan(seed=2, corrupt=0.5)
-        transport = ReliableTransport(plan=plan, policy=RetryPolicy(max_retries=32))
-        for i in range(8):
-            transport.send("server0", "server1", "t", np.full((4,), float(i)))
-        for i in range(8):
-            np.testing.assert_array_equal(
-                transport.recv("server1", "server0", "t"), np.full((4,), float(i))
-            )
-        assert transport.counters.corrupt_detected.value() > 0
-
-    def test_total_loss_blames_the_sender(self):
-        transport = ReliableTransport(
-            plan=FaultPlan(drop=1.0), policy=RetryPolicy(max_retries=3)
-        )
-        transport.send("server0", "server1", "t", "payload")
-        with pytest.raises(PartyFailure) as exc:
-            transport.recv("server1", "server0", "t")
-        assert exc.value.party == "server0"
-        assert exc.value.blame.reason == "retry-exhausted"
-        assert "server0->server1" in exc.value.blame.render()
-
-    def test_crashed_sender_is_convicted_as_crash(self):
-        plan = FaultPlan(crashes=(PartyCrash("server0", at_step=1),))
-        transport = ReliableTransport(plan=plan, policy=RetryPolicy(max_retries=2))
-        transport.send("server0", "server1", "t", "dead letter")  # fires the crash
-        with pytest.raises(PartyFailure) as exc:
-            transport.recv("server1", "server0", "t")
-        assert exc.value.blame.reason == "crash"
-        assert exc.value.party == "server0"
-
-    def test_restart_plus_journal_replay_recovers_delivery(self):
-        plan = FaultPlan(crashes=(PartyCrash("server0", at_step=1),))
-        transport = ReliableTransport(plan=plan, policy=RetryPolicy(max_retries=4))
-        transport.send("server0", "server1", "t", "first")  # black-holed: sender dead
-        with pytest.raises(PartyFailure):
-            transport.recv("server1", "server0", "t")
-        transport.restart("server0")
-        # after restart, the journalled frame is retransmitted on demand
-        assert transport.recv("server1", "server0", "t") == "first"
-
-    def test_actor_matmul_under_faults_is_bit_identical(self, rng):
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-
-        def run(plan):
-            if plan is None:
-                hub = LoopbackTransport()
-                views = {r: hub.as_role(r) for r in ("client", "server0", "server1")}
-            else:
-                transport = ReliableTransport(
-                    plan=plan, policy=RetryPolicy(max_retries=24)
-                )
-                views = {r: transport.as_role(r) for r in ("client", "server0", "server1")}
-            client = ClientActor(views["client"], seed=13)
-            servers = (ServerActor(0, views["server0"]), ServerActor(1, views["server1"]))
-            return run_matmul(client, servers, a, b)
-
-        baseline = run(None)
-        faulty = run(FaultPlan(seed=4, drop=0.15, duplicate=0.1, corrupt=0.1))
-        np.testing.assert_array_equal(baseline, faulty)
-
-
-class TestMailboxIntrospection:
-    def test_pending_and_peek(self):
-        hub = TransportHub(["a", "b"])
-        hub.send("a", "b", "t1", "one")
-        hub.send("a", "b", "t1", "two")
-        hub.send("a", "b", "t2", "three")
-        box = hub.mailboxes["b"]
-        assert box.pending("a", "t1") == 2
-        assert box.pending("a") == 3
-        assert box.pending(tag="t2") == 1
-        assert box.peek("a", "t1") == "one"
-        assert box.pending("a", "t1") == 2  # peek does not pop
-        assert box.pending_summary() == {("a", "t1"): 2, ("a", "t2"): 1}
-
-    def test_peek_empty_raises(self):
-        hub = TransportHub(["a", "b"])
-        with pytest.raises(TransportError):
-            hub.mailboxes["b"].peek("a", "t")
-
-    def test_recv_error_lists_pending_queues(self):
-        hub = TransportHub(["a", "b"])
-        hub.send("a", "b", "other", "x")
-        with pytest.raises(TransportError, match=r"\('a', 'other'\)x1"):
-            hub.recv("b", "a", "missing")
-
-    def test_recv_error_on_empty_mailbox(self):
-        hub = TransportHub(["a", "b"])
-        with pytest.raises(TransportError, match="mailbox is empty"):
-            hub.recv("b", "a", "missing")
-
-    def test_actor_idle_assertion_flags_undrained_mailbox(self):
-        hub = LoopbackTransport()
-        client = ClientActor(hub.as_role("client"), seed=7)
-        client.assert_idle()  # clean mailbox passes
-        hub._hub.send("server0", "client", "stray", "oops")
-        from repro.util.errors import ProtocolError
-
-        with pytest.raises(ProtocolError, match="stray"):
-            client.assert_idle()
 
 
 class TestBlame:

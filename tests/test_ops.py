@@ -130,13 +130,13 @@ class TestCompare:
 class TestActivation:
     def test_relu(self, ctx, rng):
         x = rng.normal(size=(8, 8)) * 2
-        out, mask = ops.activation(shared(ctx, x), "relu", label="a")
+        out, mask = ops.activation(shared(ctx, x), kind="relu", label="a")
         np.testing.assert_allclose(out.decode(), np.maximum(x, 0), atol=3e-4)
         np.testing.assert_array_equal(mask.decode(), (x >= 0).astype(float))
 
     def test_piecewise_matches_eq9(self, ctx, rng):
         x = rng.normal(size=(10, 4)) * 1.5
-        out, mask = ops.activation(shared(ctx, x), "piecewise", label="a")
+        out, mask = ops.activation(shared(ctx, x), kind="piecewise", label="a")
         expected = np.clip(x + 0.5, 0.0, 1.0)
         np.testing.assert_allclose(out.decode(), expected, atol=1e-3)
         inside = ((x >= -0.5) & (x < 0.5)).astype(float)
@@ -144,12 +144,12 @@ class TestActivation:
 
     def test_piecewise_exact_breakpoints(self, ctx):
         x = np.array([[-1.0, -0.5, 0.0, 0.5, 1.0]])
-        out, _ = ops.activation(shared(ctx, x), "piecewise", label="a")
+        out, _ = ops.activation(shared(ctx, x), kind="piecewise", label="a")
         np.testing.assert_allclose(out.decode(), [[0.0, 0.0, 0.5, 1.0, 1.0]], atol=1e-3)
 
     def test_unknown_kind(self, ctx, rng):
         with pytest.raises(ProtocolError):
-            ops.activation(shared(ctx, rng.normal(size=(2, 2))), "softplus")
+            ops.activation(shared(ctx, rng.normal(size=(2, 2))), kind="softplus")
 
 
 class TestDoublePipelineEquivalence:

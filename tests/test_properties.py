@@ -91,8 +91,8 @@ class TestActivationProperties:
         ctx = make_ctx(seed=seed, activation_protocol="dealer")
         x = rng.normal(size=(m, n)) * 3
         t = SharedTensor.from_plain(ctx, x)
-        once, _ = ops.activation(t, "relu", label="a1")
-        twice, _ = ops.activation(once, "relu", label="a2")
+        once, _ = ops.activation(t, kind="relu", label="a1")
+        twice, _ = ops.activation(once, kind="relu", label="a2")
         # relu(relu(x)) == relu(x) exactly on the decoded values
         np.testing.assert_array_equal(once.decode(), twice.decode())
 
@@ -102,7 +102,7 @@ class TestActivationProperties:
         rng = np.random.default_rng(seed)
         ctx = make_ctx(seed=seed, activation_protocol="dealer")
         x = np.sort(rng.normal(size=(1, n + 1)) * 2, axis=1)
-        out, _ = ops.activation(SharedTensor.from_plain(ctx, x), "piecewise", label="p")
+        out, _ = ops.activation(SharedTensor.from_plain(ctx, x), kind="piecewise", label="p")
         vals = out.decode().ravel()
         assert all(b >= a - 2e-3 for a, b in zip(vals, vals[1:]))
 
