@@ -97,9 +97,9 @@ class FrameworkConfig:
     cpu_parallel: bool = True
     client_parallel: bool = True
 
-    # activation protocol: dealer-assisted comparison (default), the
-    # cost-identical emulation for large tensors, or garbled circuits
-    activation_protocol: Literal["dealer", "emulated", "gc"] = "dealer"
+    # activation protocol: dealer-assisted comparison (default) or its
+    # cost-identical emulation for large tensors
+    activation_protocol: Literal["dealer", "emulated"] = "dealer"
 
     # hardware
     gpu_spec: DeviceSpec = V100_SPEC
@@ -145,6 +145,11 @@ class FrameworkConfig:
         if self.runtime not in ("lockstep", "dataflow"):
             raise ConfigError(
                 f"runtime must be 'lockstep' or 'dataflow', got {self.runtime!r}"
+            )
+        if self.activation_protocol not in ("dealer", "emulated"):
+            raise ConfigError(
+                "activation_protocol must be 'dealer' or 'emulated', "
+                f"got {self.activation_protocol!r}"
             )
 
     # -- preset constructors ----------------------------------------------------

@@ -35,6 +35,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FrameworkConfig(**{field: value})
 
+    @pytest.mark.parametrize("protocol", ["gc", "dealr", ""])
+    def test_unknown_activation_protocol_rejected(self, protocol):
+        # anything else used to fall through to the emulator silently
+        with pytest.raises(ConfigError, match="activation_protocol"):
+            FrameworkConfig(activation_protocol=protocol)
+        for ok in ("dealer", "emulated"):
+            assert FrameworkConfig(activation_protocol=ok).activation_protocol == ok
+
 
 class TestContextWiring:
     def test_secureml_mode_has_no_gpus(self):

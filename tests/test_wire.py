@@ -90,9 +90,11 @@ def assert_payload_equal(a, b):
         isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
     ), f"{type(a)} != {type(b)}"
     if isinstance(a, np.ndarray):
+        # bit-exact, not value-equal: random bytes viewed as floats hold
+        # NaN patterns, and NaN != NaN under np.array_equal
         assert a.dtype == b.dtype
         assert a.shape == b.shape
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
     elif isinstance(a, (list, tuple)):
         assert len(a) == len(b)
         for x, y in zip(a, b):
@@ -102,6 +104,12 @@ def assert_payload_equal(a, b):
 
 
 class TestCodecRoundTrip:
+    def test_nan_bit_patterns_roundtrip(self):
+        raw = np.array([0x7FF8000000000001, 0xFFF0000000000123, 0], dtype=np.uint64)
+        payload = [raw.view(np.float64), raw.view(np.float32)]
+        _tag, decoded = decode_frame(encode_frame("t", payload))
+        assert_payload_equal(payload, decoded)
+
     @settings(max_examples=100, deadline=None)
     @given(payloads())
     def test_roundtrip_bit_identical(self, payload):
