@@ -15,7 +15,7 @@ def main() -> None:
     case = ConformanceCase(model="MLP", axis="baseline", train=True)
     result = run_conformance_case(case, audit=True, capture_payloads=True)
     t = result.transcript
-    t.meta["artifact"] = "beaver2pc reference (pre protocol-backend refactor)"
+    t.meta["artifact"] = "beaver2pc reference (MLP train, baseline axis)"
     path = "tests/data/beaver2pc_mlp_train_transcript.json"
     t.dump(path)
     print(f"wrote {path}: {len(t)} messages, {t.total_bytes} bytes")

@@ -188,18 +188,25 @@ class SharedTensor:
     def mul_public(self, value: float) -> "SharedTensor":
         """Multiply by a public real: encode, multiply, locally truncate.
 
-        The public scalar is encoded at *double* fractional precision
-        (up to 26 bits) and truncated accordingly, so scalars like 1/n
-        that are not exactly representable at the tensor's precision do
-        not introduce a systematic relative bias (important for means,
-        variances, and learning rates).  The result is within ~1 ulp of
-        the true scaled value w.h.p. (SecureML local truncation; the
-        rescale itself is the backend's share-local truncation).
+        The scalar is encoded with the fewest fractional bits that hold it
+        exactly, capped at *double* the tensor's precision (at most 26
+        bits).  Dyadic scalars — learning rates like 2^-5, 1/batch, 1/seq,
+        1/sqrt(16) — then need 2-5 bits: the encoded product stays small,
+        so the local truncation has its full ring headroom and cannot wrap
+        (a wrap is an error of ~2^25, not an ulp).  Scalars with no exact
+        encoding (1/3, 0.37) keep the full cap, so they carry no
+        systematic relative bias.  The result is within ~1 ulp of the
+        true scaled value w.h.p. (SecureML local truncation; the rescale
+        itself is the backend's share-local truncation).
         """
         if self.kind != "fixed":
             raise ProtocolError("mul_public on an indicator; use mul_public_int")
-        scalar_bits = min(26, 2 * self.ctx.encoder.frac_bits)
-        encoded = int(np.rint(np.float64(value) * 2**scalar_bits)) % 2**64
+        cap = min(26, 2 * self.ctx.encoder.frac_bits)
+        scalar = np.float64(value)
+        scalar_bits = next(
+            (b for b in range(cap + 1) if float(scalar * 2**b).is_integer()), cap
+        )
+        encoded = int(np.rint(scalar * 2**scalar_bits)) % 2**64
         shares = self.ctx.backend.truncate_values(
             tuple(ring_mul(s, np.uint64(encoded)) for s in self.shares), scalar_bits
         )

@@ -65,6 +65,18 @@ class TestLocalOps:
             shared(ctx, a).mul_public(0.37).decode(), 0.37 * a, atol=1e-3
         )
 
+    @pytest.mark.parametrize("scalar", [2**-5, 0.25])
+    def test_mul_public_dyadic_scalar_does_not_wrap(self, ctx, scalar):
+        """Crafted shares: with the scalar encoded at 26 bits, party 0's
+        product share is 2^43 * 2^26 * scalar = 0 mod 2^64 (< the shared
+        product), so the local truncation wraps by 2^64 / 2^26 — an error
+        of ~2^25.  Encoded at its exact 2-5 bits, the truncation is exact."""
+        x = np.array([[1.0, -3.0, 0.5]])
+        s0 = np.full(x.shape, 2**43, dtype=np.uint64)
+        s1 = ctx.encoder.encode(x) - s0
+        t = SharedTensor(ctx=ctx, shares=(s0, s1), kind="fixed")
+        np.testing.assert_allclose(t.mul_public(scalar).decode(), scalar * x, atol=1e-3)
+
     def test_mul_public_on_indicator_rejected(self, ctx):
         t = SharedTensor.from_plain(ctx, np.eye(2), kind="indicator")
         with pytest.raises(ProtocolError):
