@@ -22,7 +22,8 @@ Re-exported here:
 * :class:`Telemetry` — the observability surface every context owns.
 
 Deep imports (``repro.core.…``, ``repro.telemetry.export``) keep
-working.  See README.md for a quickstart and DESIGN.md for the system inventory.
+working.  See README.md for a quickstart and DESIGN.md for the system
+inventory.
 """
 
 from repro import api

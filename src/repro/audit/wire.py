@@ -209,9 +209,10 @@ def assert_byte_accounting(transcript: Transcript, telemetry, *, context: str = 
     ``(src, dst)`` — if the framed codec ever sized a message differently
     from what the simulator charged, the two ledgers diverge here.
 
-    The check is only meaningful on fault-free runs — retransmissions and injected
-    duplicates charge the channel without a matching lockstep record —
-    so nonzero ``faults.*`` activity is rejected up front.
+    The check is only meaningful on fault-free runs — retransmissions
+    and injected duplicates charge the channel without a matching
+    lockstep record — so nonzero ``faults.*`` activity is rejected up
+    front.
     """
     prefix = f"{context}: " if context else ""
     reg = telemetry.registry

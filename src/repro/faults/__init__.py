@@ -8,8 +8,8 @@ the reproduction survive an imperfect one.  Two halves:
   interpreted by a :class:`FaultInjector`.  Every decision is a pure
   function of ``(plan.seed, link, message index)``, so a run under a
   given plan is exactly reproducible regardless of how links interleave.
-* **Resilience** — :class:`ResilientChannel` applies sequence-number /
-  checksum / timeout-backoff retransmission semantics to the cost-model
+* **Resilience** — :class:`ResilientChannel` applies timeout/backoff
+  retransmission and duplicate suppression to the cost-model
   :class:`~repro.comm.channel.Channel`, so retransmitted bytes and
   backoff waits show up in simulated makespans.  When the retry budget
   is exhausted (or a party has crashed and not restarted) it raises

@@ -1,7 +1,7 @@
 """Resilient delivery on the cost-model channel.
 
 :class:`ResilientChannel` extends :class:`~repro.comm.channel.Channel`
-with sequence-number/checksum/timeout-backoff retransmission semantics.
+with timeout/backoff retransmission and duplicate suppression.
 The *numerics* never touch the wire in the lockstep framework, so
 resilience shows up as retransmitted bytes and backoff waits charged on
 the :class:`~repro.simgpu.clock.SimClock` (they move makespans), plus

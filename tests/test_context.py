@@ -29,19 +29,18 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("frac_bits", 0), ("frac_bits", 40), ("compression_threshold", 1.5), ("n_streams", 0)],
+        [
+            ("frac_bits", 0),
+            ("frac_bits", 40),
+            ("compression_threshold", 1.5),
+            ("n_streams", 0),
+            ("activation_protocol", "gc"),
+            ("activation_protocol", "dealr"),
+        ],
     )
     def test_validation(self, field, value):
         with pytest.raises(ConfigError):
             FrameworkConfig(**{field: value})
-
-    @pytest.mark.parametrize("protocol", ["gc", "dealr", ""])
-    def test_unknown_activation_protocol_rejected(self, protocol):
-        # anything else used to fall through to the emulator silently
-        with pytest.raises(ConfigError, match="activation_protocol"):
-            FrameworkConfig(activation_protocol=protocol)
-        for ok in ("dealer", "emulated"):
-            assert FrameworkConfig(activation_protocol=ok).activation_protocol == ok
 
 
 class TestContextWiring:
