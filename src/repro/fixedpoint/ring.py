@@ -7,35 +7,47 @@ codebase stays warning-clean, and (b) supply a *fast* ring matmul: NumPy
 routes integer matmul through a scalar inner loop (no BLAS), which is two
 orders of magnitude slower than dgemm at the sizes secure training uses.
 
-Fast ring matmul: exact 16-bit limb decomposition over float64 BLAS
--------------------------------------------------------------------
-Write each operand as four 16-bit limbs, ``x = sum_i x_i * 2^(16 i)``.
-Then
+Fast ring matmul: exact 3-limb decomposition over float64 BLAS
+--------------------------------------------------------------
+Split each operand into limbs of 22, 21 and 21 bits at shifts
+``s = (0, 22, 43)``, ``x = sum_i x_i * 2^(s_i)``.  Then
 
-    (a @ b) mod 2^64 = sum_{i+j <= 3} (a_i @ b_j) << 16*(i+j)   (mod 2^64)
+    (a @ b) mod 2^64 = sum_{s_i + s_j < 64} (a_i @ b_j) << (s_i + s_j)   (mod 2^64)
 
-because limb pairs with ``i + j >= 4`` only contribute multiples of 2^64.
-Each partial product ``a_i @ b_j`` is a matmul of matrices with entries
-below 2^16, so every term is below 2^32 and a sum over an inner dimension
-``k`` stays below ``k * 2^32``.  float64 integers are exact below 2^53,
-so for ``k <= 2^20`` the ten dgemms are *exact* and we reassemble the
-result in uint64 where the shifts wrap as required.  Inner dimensions
-beyond 2^20 are handled by chunking the sum (each chunk exact, chunks
-added in uint64 which wraps correctly).
+because the pairs (1,2), (2,1) and (2,2) shift by 65 or more and only
+contribute multiples of 2^64.  The six remaining products fall into four
+shift groups: 0: (0,0); 22: (0,1), (1,0); 43: (0,2), (2,0); 44: (1,1).
+
+Exactness: per inner index, the terms of one shift group sum to below
+2^44 (at most ``2 * 2^22 * 2^21``), so over an inner-dimension chunk of
+at most 512 = 2^9 the group sum stays below 2^53, where float64 integers
+are exact.  Each chunk sums every group in float64, converts it to uint64
+once, shifts it and adds it into the result, where the shifts and the
+cross-chunk sums wrap mod 2^64 as required.
+
+The 2-D and stacked products share one kernel (a 2-D product is a stack
+of one).  Limbs live in a per-thread workspace that grows to the largest
+product seen: fresh temporaries this size cost more in page faults than
+the dgemms.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 from repro.util.validation import check_matmul_compatible
 
 RING_DTYPE = np.uint64
-_LIMB_BITS = 16
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-# Max inner dimension for which limb partial sums stay exact in float64:
-# term < 2^32, float64 exact to 2^53 -> k <= 2^20 (with margin).
-_MAX_EXACT_K = 1 << 20
+_LIMB_SHIFTS = (0, 22, 43)
+_LIMB_MASKS = (np.uint64((1 << 22) - 1), np.uint64((1 << 21) - 1), None)
+# (shift, limb pairs (i, j) whose shifts add up to it), for shifts below 64.
+_SHIFT_GROUPS = ((0, ((0, 0),)), (22, ((0, 1), (1, 0))), (43, ((0, 2), (2, 0))), (44, ((1, 1),)))
+# Largest chunk of the inner dimension whose group sums stay exact: 2^9 * 2^44 = 2^53.
+_CHUNK_K = 512
+
+_workspace = threading.local()
 
 
 def _as_ring(x: np.ndarray) -> np.ndarray:
@@ -96,90 +108,77 @@ def ring_sum(a: np.ndarray, axis=None) -> np.ndarray:
         return a.sum(axis=axis, dtype=RING_DTYPE)
 
 
-def _limbs(x: np.ndarray) -> list[np.ndarray]:
-    """Split a uint64 matrix into four float64 matrices of 16-bit limbs."""
-    out = []
-    for i in range(4):
-        shift = np.uint64(_LIMB_BITS * i)
-        out.append(((x >> shift) & _LIMB_MASK).astype(np.float64))
-    return out
+def _split(x: np.ndarray, limbs: np.ndarray, tmp: np.ndarray) -> list[np.ndarray]:
+    """Split a (B, r, c) uint64 stack into three float64 limbs held in ``limbs``.
+
+    ``tmp`` is scratch.  A transposed operand is split in its own memory
+    order and returned as transposed limb views, which BLAS reads as is.
+    """
+    if not x.flags.c_contiguous and x.swapaxes(1, 2).flags.c_contiguous:
+        return [limb.swapaxes(1, 2) for limb in _split(x.swapaxes(1, 2), limbs, tmp)]
+    limbs = limbs.reshape((3, *x.shape))
+    tmp = tmp.view(RING_DTYPE).reshape(x.shape)
+    for limb, shift, mask in zip(limbs, _LIMB_SHIFTS, _LIMB_MASKS):
+        src = x
+        if shift:
+            src = np.right_shift(src, np.uint64(shift), out=tmp)
+        if mask is not None:
+            src = np.bitwise_and(src, mask, out=tmp)
+        # Limbs are below 2^22: the signed view converts exactly, and faster.
+        np.copyto(limb, src.view(np.int64), casting="unsafe")
+    return list(limbs)
 
 
-def _ring_matmul_exact_chunk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact ring matmul for inner dimension <= _MAX_EXACT_K."""
-    a_limbs = _limbs(a)
-    b_limbs = _limbs(b)
-    result = np.zeros((a.shape[0], b.shape[1]), dtype=RING_DTYPE)
+def _ring_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ring product of uint64 stacks (B, m, k) x (B, k, n)."""
+    out = np.zeros((a.shape[0], a.shape[1], b.shape[2]), dtype=RING_DTYPE)
+    # Workspace: a's limbs, b's limbs, then the split temporary, which the float64
+    # group sum and partial product (later the uint64 conversion) reuse.
+    size = 3 * (a.size + b.size) + max(a.size, b.size, 2 * out.size)
+    if getattr(_workspace, "buf", None) is None or _workspace.buf.size < size:
+        _workspace.buf = np.empty(size)
+    a_flat, b_flat, tail = np.split(_workspace.buf[:size], [3 * a.size, 3 * (a.size + b.size)])
+    a_limbs = _split(a, a_flat, tail[: a.size])
+    b_limbs = _split(b, b_flat, tail[: b.size])
+    acc, part = tail[: 2 * out.size].reshape((2, *out.shape))
+    conv = part.view(RING_DTYPE)
     with np.errstate(over="ignore"):
-        for i in range(4):
-            for j in range(4 - i):
-                partial = a_limbs[i] @ b_limbs[j]
-                # Partial sums are exact integers < 2^53, so the uint64
-                # conversion is lossless; the shift then wraps mod 2^64.
-                result += partial.astype(RING_DTYPE) << np.uint64(_LIMB_BITS * (i + j))
-    return result
+        for start in range(0, a.shape[2], _CHUNK_K):
+            chunk = slice(start, start + _CHUNK_K)
+            for shift, pairs in _SHIFT_GROUPS:
+                (i, j), *rest = pairs
+                np.matmul(a_limbs[i][:, :, chunk], b_limbs[j][:, chunk], out=acc)
+                for i, j in rest:
+                    np.matmul(a_limbs[i][:, :, chunk], b_limbs[j][:, chunk], out=part)
+                    np.add(acc, part, out=acc)
+                # The group sum is an exact integer below 2^53: lossless conversion.
+                np.copyto(conv.view(np.int64), acc, casting="unsafe")
+                if shift:
+                    np.left_shift(conv, np.uint64(shift), out=conv)
+                np.add(out, conv, out=out)
+    return out
 
 
 def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product a @ b in Z_{2^64} (exact, BLAS-backed).
 
-    Uses the 16-bit limb decomposition described in the module docstring.
-    Inner dimensions larger than 2^20 are split into exact chunks whose
-    partial results are accumulated with wrapping uint64 addition.
+    Uses the 3-limb decomposition described in the module docstring.
     """
     a, b = _as_ring(a), _as_ring(b)
     check_matmul_compatible(a, b)
-    k = a.shape[1]
-    if k <= _MAX_EXACT_K:
-        return _ring_matmul_exact_chunk(a, b)
-    result = np.zeros((a.shape[0], b.shape[1]), dtype=RING_DTYPE)
-    for start in range(0, k, _MAX_EXACT_K):
-        stop = min(start + _MAX_EXACT_K, k)
-        ring_add(result, _ring_matmul_exact_chunk(a[:, start:stop], b[start:stop, :]), out=result)
-    return result
-
-
-def _ring_matmul_batched_chunk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact stacked ring matmul, inner dimension <= _MAX_EXACT_K.
-
-    ``a`` is (B, m, k), ``b`` is (B, k, n); the ten limb products become
-    ten *batched* ``np.matmul`` calls (one BLAS round trip each for the
-    whole stack) instead of ``10 B`` separate dgemms — the dealer-side
-    fusion the offline pool relies on.
-    """
-    a_limbs = _limbs(a)
-    b_limbs = _limbs(b)
-    result = np.zeros((a.shape[0], a.shape[1], b.shape[2]), dtype=RING_DTYPE)
-    with np.errstate(over="ignore"):
-        for i in range(4):
-            for j in range(4 - i):
-                partial = np.matmul(a_limbs[i], b_limbs[j])
-                shifted = partial.astype(RING_DTYPE)
-                np.left_shift(shifted, np.uint64(_LIMB_BITS * (i + j)), out=shifted)
-                ring_add(result, shifted, out=result)
-    return result
+    return _ring_gemm(a[None], b[None])[0]
 
 
 def ring_matmul_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stacked matrix product ``a[i] @ b[i]`` in Z_{2^64} for all i.
 
-    ``a`` is (B, m, k) and ``b`` is (B, k, n); returns (B, m, n).  Exact
-    via the same limb decomposition as :func:`ring_matmul`, with the B
-    products fused into batched BLAS calls.  Inner dimensions beyond
-    2^20 are chunked exactly as in the 2-D case.
+    ``a`` is (B, m, k) and ``b`` is (B, k, n); returns (B, m, n).  Same
+    kernel as :func:`ring_matmul`: each stack is split once, and each
+    limb product is one stacked ``np.matmul`` over the whole batch.
     """
     a, b = _as_ring(a), _as_ring(b)
     if a.ndim != 3 or b.ndim != 3:
         raise ValueError(f"ring_matmul_batched needs 3-D stacks, got {a.shape} and {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ValueError(f"stacked shapes incompatible for matmul: {a.shape} x {b.shape}")
-    k = a.shape[2]
-    if k <= _MAX_EXACT_K:
-        return _ring_matmul_batched_chunk(a, b)
-    result = np.zeros((a.shape[0], a.shape[1], b.shape[2]), dtype=RING_DTYPE)
-    for start in range(0, k, _MAX_EXACT_K):
-        stop = min(start + _MAX_EXACT_K, k)
-        ring_add(
-            result, _ring_matmul_batched_chunk(a[:, :, start:stop], b[:, start:stop, :]), out=result
-        )
-    return result
+    return _ring_gemm(a, b)

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.fixedpoint.encoding import FixedPointEncoder
+
+# Deeper property search for CI (``--hypothesis-profile ci``); tier-1 runs
+# keep Hypothesis' default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture
