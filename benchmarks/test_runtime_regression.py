@@ -4,9 +4,8 @@ The event-driven scheduler (``runtime="dataflow"``,
 :mod:`repro.runtime.dataflow`) must extract overlap, never invent cost:
 
 * the Fig. 10 MLP/MNIST online makespan under dataflow is no worse
-  than the live lockstep run *and* no worse than the hand-tuned
-  pipeline numbers committed in ``BENCH_wire.json`` (the lockstep
-  baseline cell those pipelines produced);
+  than the live lockstep run *and* no worse than the committed
+  lockstep reference the hand-tuned pipelines produced;
 * the Fig. 12-style offline makespan (client dealer work) is likewise
   monotone non-increasing;
 * the schedule change is cost-only: decoded predictions are
@@ -19,9 +18,6 @@ Runs standalone:
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -33,7 +29,9 @@ from repro.core.training import SecureTrainer
 
 N_BATCHES = 2
 BATCH_SIZE = 128
-BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "BENCH_wire.json"
+#: Committed lockstep Fig. 10 MLP/MNIST training online makespan (the
+#: uncoalesced raw-estimate accounting; coalescing only lowers it).
+COMMITTED_LOCKSTEP_ONLINE_S = 0.005308902191644443
 
 
 def _run_cell(runtime: str):
@@ -68,16 +66,6 @@ def dataflow():
     return _run_cell("dataflow")
 
 
-def _committed_lockstep_online() -> float | None:
-    if not BENCH_REFERENCE.exists():
-        return None
-    rows = json.loads(BENCH_REFERENCE.read_text())["rows"]
-    for row in rows:
-        if row.get("wire_mode") == "baseline" and row.get("model") == "MLP":
-            return float(row["train_online_s"])
-    return None
-
-
 def test_fig10_online_makespan_no_worse_than_lockstep(lockstep, dataflow):
     assert dataflow["online_s"] <= lockstep["online_s"] * (1 + 1e-9), (
         f"dataflow online makespan regressed: {dataflow['online_s']} > "
@@ -86,9 +74,7 @@ def test_fig10_online_makespan_no_worse_than_lockstep(lockstep, dataflow):
 
 
 def test_fig10_online_makespan_no_worse_than_committed_reference(dataflow):
-    reference = _committed_lockstep_online()
-    if reference is None:
-        pytest.skip("no committed BENCH_wire.json reference")
+    reference = COMMITTED_LOCKSTEP_ONLINE_S
     assert dataflow["online_s"] <= reference * (1 + 1e-9), (
         f"dataflow fig10 online makespan regressed above the committed "
         f"lockstep reference: {dataflow['online_s']} > {reference}"

@@ -8,8 +8,9 @@ the same data, and asserts the outputs agree within fixed-point
 tolerance.  Sweeping the six paper models plus the attention/recsys workloads
 across the optimization axes
 (triplet pool, static-mask reuse, delta compression, reliable
-transport under a chaos seed) is the regression oracle for "no
-optimization changed the arithmetic".
+transport under a chaos seed, dataflow scheduling, and every cost-only
+knob at once) is the regression oracle for "no optimization changed
+the arithmetic".
 
 Two strengths of agreement:
 
@@ -67,6 +68,9 @@ from repro.util.errors import AuditError, ConfigError
 #: recommendation workloads, by bench-suite name.
 CONFORMANCE_MODELS = ("MLP", "CNN", "RNN", "linear", "logistic", "SVM", "attention", "recsys")
 
+#: The recoverable fault plan of the chaos axes.
+CHAOS_PLAN = FaultPlan(seed=7, drop=0.04, delay=0.04)
+
 #: Config axes swept against the baseline.  Values are ``.but()``
 #: overrides on the ParSecureML preset.
 CONFORMANCE_AXES: dict[str, dict[str, Any]] = {
@@ -74,15 +78,20 @@ CONFORMANCE_AXES: dict[str, dict[str, Any]] = {
     "pool": {"pool_size": 4},
     "mask_reuse": {"static_mask_reuse": True},
     "no_compression": {"compression": False},
-    "chaos": {"fault_plan": FaultPlan(seed=7, drop=0.04, delay=0.04)},
-    "wire": {"wire_frames": True},
-    "coalesced": {"coalesce_rounds": True},
+    "chaos": {"fault_plan": CHAOS_PLAN},
     "dataflow": {"runtime": "dataflow"},
+    # every cost-only knob at once: they must compose, not just flip alone
+    "cost_only": {
+        "static_mask_reuse": True,
+        "compression": False,
+        "runtime": "dataflow",
+        "fault_plan": CHAOS_PLAN,
+    },
 }
 
 #: Axes whose knobs are cost-only: secure predictions must be
 #: bit-identical to the baseline axis, not merely within tolerance.
-BIT_IDENTICAL_AXES = ("mask_reuse", "no_compression", "chaos", "wire", "coalesced", "dataflow")
+BIT_IDENTICAL_AXES = ("mask_reuse", "no_compression", "chaos", "dataflow", "cost_only")
 
 #: Fixed-point agreement ceilings (frac_bits=13 -> ~1.2e-4 resolution
 #: per truncation; training compounds it across batches and layers).
@@ -320,36 +329,4 @@ def assert_bit_identical(
             f"{prefix}{variant.case.name} is not bit-identical to "
             f"{base.case.name} (max delta {delta:.3e}) — a cost-only knob "
             "changed protocol arithmetic"
-        )
-
-
-def assert_content_equivalent(
-    base: ConformanceResult, variant: ConformanceResult, *, context: str = ""
-) -> None:
-    """Round coalescing may repack messages, never change their bytes.
-
-    The digest-equality oracle for ``coalesce_rounds``: per directed
-    link, the concatenation of the variant's captured message contents
-    must hash identically to the baseline's — packed frames carry the
-    exact bodies the separate messages would have, in the same order.
-    Both results need recorded transcripts with payload capture.
-    """
-    from repro.audit.transcript import link_content_digests
-
-    prefix = f"{context}: " if context else ""
-    if base.transcript is None or variant.transcript is None:
-        raise AuditError(f"{prefix}content equivalence needs recorded transcripts")
-    ours = link_content_digests(base.transcript)
-    theirs = link_content_digests(variant.transcript)
-    if ours != theirs:
-        diverged = sorted(
-            f"{src}->{dst}"
-            for link in set(ours) | set(theirs)
-            if ours.get(link) != theirs.get(link)
-            for src, dst in [link]
-        )
-        raise AuditError(
-            f"{prefix}{variant.case.name} per-link content diverged from "
-            f"{base.case.name} on {', '.join(diverged)} — coalescing must "
-            "repack message boundaries, never bytes"
         )

@@ -27,7 +27,6 @@ uniformity test; the JSON form stores digests and sizes only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
@@ -54,33 +53,15 @@ IDENTITY_FIELDS = ("src", "dst", "tag", "nbytes", "digest", "clock_s")
 # committed reference transcripts pin it.
 
 
-def link_content_digests(transcript: "Transcript") -> dict[tuple[str, str], str]:
-    """BLAKE2b per directed link over the concatenated captured contents.
-
-    The coalescing oracle: packing same-round messages into one frame
-    reorders *message boundaries*, never bytes, so a coalesced run's
-    per-link content stream must hash identically to the baseline's.
-    Size-only records (no captured payload) contribute nothing, same as
-    in the baseline.
-    """
-    streams: dict[tuple[str, str], "hashlib._Hash"] = {}
-    for r in transcript:
-        if r.payload is None:
-            continue
-        h = streams.get((r.src, r.dst))
-        if h is None:
-            h = streams[(r.src, r.dst)] = hashlib.blake2b(digest_size=16)
-        h.update(r.payload)
-    return {link: h.hexdigest() for link, h in streams.items()}
-
-
 @dataclass(frozen=True)
 class TranscriptRecord:
     """One message as a passive network observer would log it.
 
     ``payload`` holds the raw content bytes when the recorder captured
     them (wire-audit input); it is never serialized and never takes part
-    in transcript identity — ``digest`` already pins the content.
+    in transcript identity — ``digest`` already pins the content.  For a
+    packed frame (a tuple of parts), ``part_sizes`` splits ``payload``
+    back into its parts' contents.
     """
 
     seq: int
@@ -91,6 +72,17 @@ class TranscriptRecord:
     digest: str
     clock_s: float
     payload: bytes | None = field(default=None, repr=False, compare=False)
+    part_sizes: tuple[int, ...] = field(default=(), repr=False, compare=False)
+
+    def content_parts(self) -> list[bytes]:
+        """The captured content, one entry per part of a packed frame."""
+        if not self.part_sizes:
+            return [self.payload] if self.payload else []
+        parts, pos = [], 0
+        for size in self.part_sizes:
+            parts.append(self.payload[pos : pos + size])
+            pos += size
+        return parts
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -279,9 +271,14 @@ class TranscriptRecorder:
             raise AuditError(f"record {src}->{dst} [{tag}]: need payload or nbytes")
         digest = payload_digest(payload) if payload is not None else ""
         captured: bytes | None = None
+        part_sizes: tuple[int, ...] = ()
         if self.capture_payloads:
             if content is not None:
                 captured = content
+            elif isinstance(payload, tuple):
+                parts = [content_bytes(p) for p in payload]
+                captured = b"".join(parts)
+                part_sizes = tuple(len(p) for p in parts)
             elif payload is not None:
                 captured = content_bytes(payload)
         if nbytes is None:
@@ -289,7 +286,7 @@ class TranscriptRecorder:
         rec = TranscriptRecord(
             seq=len(self._records), src=src, dst=dst, tag=tag,
             nbytes=int(nbytes), digest=digest, clock_s=float(clock_s),
-            payload=captured,
+            payload=captured, part_sizes=part_sizes,
         )
         self._records.append(rec)
         if self._msg_counter is not None:

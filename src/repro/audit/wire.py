@@ -140,8 +140,9 @@ def audit_transcript(
     the statistic; a link whose captured content is below ``min_bytes``
     is skipped, not judged.
 
-    Repeated identical messages count once: a static operand re-sends
-    the same masked difference every batch (same cached triplet).  An
+    Repeated identical contents count once: a static operand re-sends
+    the same masked difference every batch (same cached triplet), also
+    as one part of a packed E/F frame whose other part is fresh.  An
     exact repeat gives a passive observer nothing new, but
     double-counting its byte histogram would scale the chi-square
     statistic by the repeat factor and fail uniform traffic spuriously.
@@ -151,13 +152,13 @@ def audit_transcript(
         if party is not None and dst != party:
             continue
         records = transcript.records_for(src=src, dst=dst)
-        seen: set[str] = set()
+        seen: set[bytes] = set()
         bufs = []
         for r in records:
-            if not r.payload or r.digest in seen:
-                continue
-            seen.add(r.digest)
-            bufs.append(r.payload)
+            for part in r.content_parts():
+                if part and part not in seen:
+                    seen.add(part)
+                    bufs.append(part)
         captured = sum(len(b) for b in bufs)
         wire = sum(r.nbytes for r in records)
         if captured < min_bytes:

@@ -67,9 +67,6 @@ class Channel:
         self._busy = registry.counter(
             "comm.link_busy_seconds", "per-direction link occupancy (busy seconds)"
         )
-        self._frame_overhead = registry.counter(
-            "comm.frame_overhead_bytes", "framed-codec header bytes per link direction"
-        )
         self._coalesced = registry.counter(
             "comm.coalesced_messages", "messages absorbed into packed round frames"
         )
@@ -99,16 +96,12 @@ class Channel:
         """Charge one *framed* message whose size came from the codec.
 
         ``sizes`` is a :class:`repro.comm.wire.FramedSizes`: the full
-        frame (body + headers) is charged through :meth:`send` — so
-        retransmission/fault semantics of subclasses apply unchanged —
-        while the header share lands in ``comm.frame_overhead_bytes``.
+        frame (body + headers) is charged through :meth:`send`, so
+        retransmission/fault semantics of subclasses apply unchanged.
         ``parts`` > 1 marks a packed round frame; the messages it
         absorbed (parts - 1) are tallied in ``comm.coalesced_messages``.
         """
         task = self.send(src, dst, sizes.nbytes, deps=deps, label=label)
-        self._frame_overhead.inc(
-            int(sizes.overhead_nbytes), channel=self.label, src=src, dst=dst
-        )
         if parts > 1:
             self._coalesced.inc(parts - 1, channel=self.label, src=src, dst=dst)
         return task

@@ -60,9 +60,9 @@ class CompressedPayload:
 
         Dense sends frame the matrix itself; CSR deltas frame the three
         index/value arrays plus the stream metadata the receiver's state
-        machine needs.  Under ``FrameworkConfig.wire_frames`` the charged
-        size is the exact frame over this view — replacing the
-        ``csr_nbytes`` estimate with what actually crosses the wire.
+        machine needs (kind and key as str parts, the two shape ints as
+        int parts).  The channel charges the exact frame over this view,
+        not the ``csr_nbytes`` estimate.
         """
         if self.kind == "dense":
             return self.dense

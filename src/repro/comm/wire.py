@@ -1,30 +1,27 @@
 """Zero-copy framed wire codec + per-round message coalescing.
 
-The online hot path used to hand Python objects to the transport and
-charge separately-estimated byte counts on the channels.  This module
-makes the wire form explicit:
+Every inter-server message is charged at the size of its frame in this
+codec:
 
 * **Frame codec** — ``encode_frame`` / ``decode_frame`` serialize a
   message as a fixed header (magic, tag, part kinds, dtype, shape)
   followed by the raw ``tobytes()`` buffers of its arrays.  Encoding is
   zero-copy: array bodies travel as memoryviews into the original
-  buffers (never copied through pickle), and decoding returns
-  ``np.frombuffer`` views into the received frame.  Pickle is the
-  escape hatch only for leaves that are not arrays/bytes/sequences —
-  and even then protocol 5 with out-of-band buffers keeps any arrays
-  *inside* such leaves out of the pickle stream.
+  buffers, and decoding returns ``np.frombuffer`` views into the
+  received frame.  Parts are numeric arrays, bytes, str, int, None and
+  lists/tuples of parts; any other leaf raises :class:`TransportError`
+  — nothing is pickled, so wire bytes are never unpickled.  Malformed
+  frames raise :class:`TransportError` and nothing else.
 * **Exact sizing** — :func:`frame_sizes` computes a frame's wire size
-  without materializing it, split into body (raw buffer bytes) and
-  overhead (headers), so channels charge what actually crosses the
-  transport and telemetry can report ``comm.frame_overhead_bytes``.
+  from the part headers and each array's ``nbytes``, without building
+  or copying anything, split into body (raw buffer bytes) and overhead
+  (headers).
 * **Fast checksums** — :func:`payload_checksum` CRCs the frame chunks
   incrementally (raw array buffers, no per-message ``pickle.dumps``).
-* **Round coalescing** — :class:`RoundCoalescer` packs small same-round
+* **Round coalescing** — :class:`RoundCoalescer` packs same-round
   messages per directed link into one framed message (the Eq. 5 E/F
   pair being the dominant case), amortizing per-message latency.  A
-  packed frame's body is the exact concatenation of its parts' bodies,
-  which is what makes coalescing auditable: the per-link concatenated
-  content stream is invariant (see ``repro.audit``).
+  packed frame's body is the exact concatenation of its parts' bodies.
 
 The *canonical encoding* used for transcript digests
 (:func:`canonical_bytes`) also lives here — it predates the frame codec
@@ -35,11 +32,13 @@ is kept verbatim and re-exported by :mod:`repro.audit.transcript`.
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
+import re
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -107,7 +106,7 @@ def payload_digest(payload: Any) -> str:
 # --------------------------------------------------------------------------
 
 #: Frame magic: "RePro Wire" + format version.
-MAGIC = b"RPW1"
+MAGIC = b"RPW2"
 
 _KIND_ND = 0
 _KIND_BYTES = 1
@@ -115,7 +114,17 @@ _KIND_LIST = 2
 _KIND_TUPLE = 3
 _KIND_NONE = 4
 _KIND_STR = 5
-_KIND_PICKLE = 6
+_KIND_INT = 6
+
+#: Array dtype kinds a frame carries: bool, signed/unsigned int, float,
+#: complex.  Object, string, datetime and structured dtypes are refused.
+_ND_KINDS = "biufc"
+_ND_DTYPE = re.compile(rb"[<>|][biufc][0-9]{1,2}")
+#: Deepest list/tuple nesting a frame may carry (bounds the recursive
+#: decoder on hostile input).
+MAX_DEPTH = 32
+#: Fixed bytes before the tag: magic, flags byte, u16 tag length.
+_FRAME_HEAD = len(MAGIC) + 1 + 2
 
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
@@ -125,20 +134,40 @@ _I64 = struct.Struct("<q")
 
 
 def _array_body(arr: np.ndarray) -> memoryview:
-    """A flat byte view of a contiguous array (no copy)."""
+    """A flat byte view of an array's C-order buffer (copies only if strided)."""
     if arr.size == 0:
         return memoryview(b"")
     return memoryview(np.ascontiguousarray(arr)).cast("B")
 
 
-def _emit(payload: Any, chunks: list) -> None:
+def _unsupported(payload: Any) -> TransportError:
+    return TransportError(f"frame part of type {type(payload).__name__} is not encodable")
+
+
+def _check_array(arr: np.ndarray) -> None:
+    if arr.dtype.kind not in _ND_KINDS:
+        raise TransportError(f"frame cannot carry arrays of dtype {arr.dtype}")
+
+
+def _check_int(value: int) -> None:
+    if not -(2**63) <= value < 2**63:
+        raise TransportError(f"frame int part {value} does not fit in 64 bits")
+
+
+def _check_depth(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise TransportError(f"frame nesting deeper than {MAX_DEPTH}")
+
+
+def _emit(payload: Any, chunks: list, depth: int = 0) -> None:
     """Append one payload's encoded chunks.
 
-    Invariant the sizing/overhead accounting relies on: header chunks
-    are ``bytes``, raw buffer bodies are ``memoryview`` — a chunk's type
-    says which side of the body/overhead split it lands on.
+    Header chunks are ``bytes``, raw buffer bodies are ``memoryview`` —
+    a chunk's type says which side of the body/overhead split it lands
+    on (:func:`frame_sizes` computes the same split without chunks).
     """
-    if isinstance(payload, np.ndarray) and not payload.dtype.hasobject:
+    if isinstance(payload, np.ndarray):
+        _check_array(payload)
         dt = payload.dtype.str.encode("ascii")
         head = bytearray(_U8.pack(_KIND_ND))
         head += _U8.pack(len(dt))
@@ -154,10 +183,11 @@ def _emit(payload: Any, chunks: list) -> None:
         chunks.append(memoryview(bytes(payload)))
         return
     if isinstance(payload, (list, tuple)):
+        _check_depth(depth + 1)
         kind = _KIND_LIST if isinstance(payload, list) else _KIND_TUPLE
         chunks.append(_U8.pack(kind) + _U32.pack(len(payload)))
         for item in payload:
-            _emit(item, chunks)
+            _emit(item, chunks, depth + 1)
         return
     if payload is None:
         chunks.append(_U8.pack(_KIND_NONE))
@@ -166,23 +196,52 @@ def _emit(payload: Any, chunks: list) -> None:
         body = payload.encode("utf-8")
         chunks.append(_U8.pack(_KIND_STR) + _U32.pack(len(body)) + body)
         return
-    # Escape hatch: pickle the leaf, but keep any arrays inside it out of
-    # the pickle stream via protocol-5 out-of-band buffers (raw bodies).
-    buffers: list = []
-    skeleton = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
-    chunks.append(
-        _U8.pack(_KIND_PICKLE) + _U64.pack(len(skeleton)) + skeleton + _U32.pack(len(buffers))
-    )
-    for buf in buffers:
-        view = buf.raw() if hasattr(buf, "raw") else memoryview(buf)
-        chunks.append(_U64.pack(view.nbytes))
-        chunks.append(view)
+    if type(payload) is int:
+        _check_int(payload)
+        chunks.append(_U8.pack(_KIND_INT) + _I64.pack(payload))
+        return
+    raise _unsupported(payload)
 
 
-def _frame_chunks(tag: str, payload: Any) -> list:
+def _part_sizes(payload: Any, depth: int = 0) -> tuple[int, int]:
+    """``(total, body)`` bytes :func:`_emit` would produce for ``payload``."""
+    if isinstance(payload, np.ndarray):
+        _check_array(payload)
+        # kind, dtype-string length and ndim bytes, the dtype string
+        # (byte order, kind, itemsize digits: 3 chars as "<u8", 4 as
+        # "<c16") and one i64 per dim; counting the itemsize digits
+        # avoids building dtype.str for every message
+        head = 6 + (payload.itemsize >= 10) + 8 * payload.ndim
+        return head + payload.nbytes, payload.nbytes
+    if isinstance(payload, (bytes, bytearray)):
+        return 9 + len(payload), len(payload)
+    if isinstance(payload, (list, tuple)):
+        _check_depth(depth + 1)
+        total, body = 5, 0
+        for item in payload:
+            t, b = _part_sizes(item, depth + 1)
+            total += t
+            body += b
+        return total, body
+    if payload is None:
+        return 1, 0
+    if isinstance(payload, str):
+        return 5 + len(payload.encode("utf-8")), 0
+    if type(payload) is int:
+        _check_int(payload)
+        return 9, 0
+    raise _unsupported(payload)
+
+
+def _tag_bytes(tag: str) -> bytes:
     tag_bytes = tag.encode("utf-8")
     if len(tag_bytes) > 0xFFFF:
         raise TransportError(f"frame tag too long ({len(tag_bytes)} bytes)")
+    return tag_bytes
+
+
+def _frame_chunks(tag: str, payload: Any) -> list:
+    tag_bytes = _tag_bytes(tag)
     chunks: list = [MAGIC + _U8.pack(0) + _U16.pack(len(tag_bytes)) + tag_bytes]
     _emit(payload, chunks)
     return chunks
@@ -193,9 +252,11 @@ def encode_frame(tag: str, payload: Any) -> bytes:
     return b"".join(_frame_chunks(tag, payload))
 
 
-@dataclass(frozen=True)
-class FramedSizes:
-    """Exact wire size of a frame, split body vs header overhead."""
+class FramedSizes(NamedTuple):
+    """Exact wire size of a frame, split body vs header overhead.
+
+    A named tuple, not a dataclass: one is built per charged message.
+    """
 
     nbytes: int
     body_nbytes: int
@@ -208,19 +269,13 @@ class FramedSizes:
 def frame_sizes(tag: str, payload: Any) -> FramedSizes:
     """Wire size of ``encode_frame(tag, payload)`` without building it.
 
-    Body = raw buffer bytes (array/bytes/out-of-band pickle buffers);
-    overhead = everything else (magic, tag, kinds, dtypes, shapes,
-    pickle skeletons).
+    Body = raw buffer bytes (array and bytes parts); overhead =
+    everything else (magic, tag, kinds, dtypes, shapes, counts).
+    Arrays are sized from their headers and ``nbytes`` — no body is
+    touched, so a strided operand costs what a contiguous one does.
     """
-    body = 0
-    total = 0
-    for chunk in _frame_chunks(tag, payload):
-        if isinstance(chunk, memoryview):
-            body += chunk.nbytes
-            total += chunk.nbytes
-        else:
-            total += len(chunk)
-    return FramedSizes(nbytes=total, body_nbytes=body)
+    total, body = _part_sizes(payload)
+    return FramedSizes(_FRAME_HEAD + len(_tag_bytes(tag)) + total, body)
 
 
 def blob_frame_sizes(tag: str, nbytes: int) -> FramedSizes:
@@ -229,16 +284,16 @@ def blob_frame_sizes(tag: str, nbytes: int) -> FramedSizes:
     The GMW comparison traffic is costed in aggregate — its per-round
     bit content is never materialized — so it frames as one BYTES part.
     """
-    header = len(MAGIC) + 1 + 2 + len(tag.encode("utf-8")) + 1 + 8
-    return FramedSizes(nbytes=header + int(nbytes), body_nbytes=int(nbytes))
+    header = _FRAME_HEAD + len(_tag_bytes(tag)) + 1 + 8
+    return FramedSizes(header + int(nbytes), int(nbytes))
 
 
 def payload_checksum(payload: Any) -> int:
     """CRC-32 over the framed encoding of ``payload``.
 
     Accumulated chunk-by-chunk: array buffers are hashed raw and never
-    pass through ``pickle.dumps`` (the historical per-frame hotspot);
-    pickle only fires for irreducible non-array leaves.  Checksums are
+    pass through ``pickle.dumps`` (the historical per-frame hotspot).
+    Payloads the codec cannot frame raise :class:`TransportError`.  Checksums are
     compared within one process only — no cross-version stability is
     promised (transcript digests, which *are* pinned, use
     :func:`canonical_bytes`).
@@ -283,28 +338,31 @@ class _FrameReader:
     def exhausted(self) -> bool:
         return self._pos == len(self._view)
 
-    def value(self) -> Any:
+    def value(self, depth: int = 0) -> Any:
         kind = self.u8()
         if kind == _KIND_ND:
-            dt = np.dtype(bytes(self.take(self.u8())).decode("ascii"))
+            dt_str = bytes(self.take(self.u8()))
+            if not _ND_DTYPE.fullmatch(dt_str):
+                raise TransportError(f"frame array dtype {dt_str!r} not allowed")
+            dt = np.dtype(dt_str.decode("ascii"))
             shape = tuple(self.i64() for _ in range(self.u8()))
-            nbytes = dt.itemsize * int(np.prod(shape, dtype=np.int64))
-            body = self.take(nbytes)
+            if any(dim < 0 for dim in shape):
+                raise TransportError(f"negative frame array shape {shape}")
+            body = self.take(dt.itemsize * math.prod(shape))
             arr = np.frombuffer(body, dtype=dt).reshape(shape)
             return arr.copy() if self._copy else arr
         if kind == _KIND_BYTES:
             return bytes(self.take(self.u64()))
         if kind in (_KIND_LIST, _KIND_TUPLE):
-            items = [self.value() for _ in range(self.u32())]
+            _check_depth(depth + 1)
+            items = [self.value(depth + 1) for _ in range(self.u32())]
             return items if kind == _KIND_LIST else tuple(items)
         if kind == _KIND_NONE:
             return None
         if kind == _KIND_STR:
             return bytes(self.take(self.u32())).decode("utf-8")
-        if kind == _KIND_PICKLE:
-            skeleton = bytes(self.take(self.u64()))
-            buffers = [self.take(self.u64()) for _ in range(self.u32())]
-            return pickle.loads(skeleton, buffers=buffers)
+        if kind == _KIND_INT:
+            return self.i64()
         raise TransportError(f"unknown frame part kind {kind}")
 
 
@@ -313,14 +371,20 @@ def decode_frame(data, *, copy: bool = False) -> tuple[str, Any]:
 
     With ``copy=False`` (default) decoded arrays are read-only
     ``np.frombuffer`` views into ``data`` — zero-copy; pass
-    ``copy=True`` for independent writable arrays.
+    ``copy=True`` for independent writable arrays.  Any malformed
+    input raises :class:`TransportError`.
     """
-    reader = _FrameReader(data, copy)
-    if bytes(reader.take(len(MAGIC))) != MAGIC:
-        raise TransportError("bad frame magic")
-    reader.u8()  # flags (reserved)
-    tag = bytes(reader.take(reader.u16())).decode("utf-8")
-    payload = reader.value()
+    try:
+        reader = _FrameReader(data, copy)
+        if bytes(reader.take(len(MAGIC))) != MAGIC:
+            raise TransportError("bad frame magic")
+        reader.u8()  # flags (reserved)
+        tag = bytes(reader.take(reader.u16())).decode("utf-8")
+        payload = reader.value()
+    except (ValueError, TypeError, struct.error) as exc:
+        # UnicodeDecodeError is a ValueError; numpy rejects impossible
+        # dtype/shape combinations with ValueError or TypeError.
+        raise TransportError(f"malformed frame: {exc}") from exc
     if not reader.exhausted:
         raise TransportError("trailing bytes after frame payload")
     return tag, payload
@@ -397,6 +461,7 @@ class RoundCoalescer:
 
 __all__ = [
     "MAGIC",
+    "MAX_DEPTH",
     "FramedSizes",
     "PackedFrame",
     "RoundCoalescer",

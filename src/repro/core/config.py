@@ -10,6 +10,10 @@ experiment is "build a config, run the trainer":
 * Fig. 16 — ``compression`` on/off;
 * pipeline ablations — ``pipeline1`` / ``double_pipeline`` on/off;
 * placement ablation — ``placement_mode``.
+
+Inter-server traffic has one accounting and no knob: every message is
+charged at its frame size in :mod:`repro.comm.wire`, and a round's E/F
+pair shares one frame per direction.
 """
 
 from __future__ import annotations
@@ -49,20 +53,6 @@ class FrameworkConfig:
     # inter-server communication (Section 4.4)
     compression: bool = True
     compression_threshold: float = 0.75
-
-    # Wire framing (repro.comm.wire).  wire_frames charges each
-    # inter-server message at its exact framed-codec size (fixed header
-    # + raw buffer body, tallied in comm.frame_overhead_bytes) instead
-    # of the raw-array estimate.  coalesce_rounds additionally packs
-    # same-round messages per directed link — the Eq. 5 E/F pair —
-    # into one framed message (comm.coalesced_messages), halving
-    # per-message latency charges on the dominant exchange; it implies
-    # framed accounting on the coalesced path.  Both knobs are
-    # cost-only: protocol values never change (the "wire"/"coalesced"
-    # conformance axes pin predictions bit-identical), and both default
-    # off so the committed reference transcripts stay byte-for-byte.
-    wire_frames: bool = False
-    coalesce_rounds: bool = False
 
     # Beaver-mask lifetime.  The paper's delta compression (Eqs. 10-12)
     # requires the masks U_i/V_i of a given operand stream to be *reused*

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.wire import RoundCoalescer, blob_frame_sizes, frame_sizes
+from repro.comm.wire import RoundCoalescer, blob_frame_sizes
 from repro.core import ops as core_ops
 from repro.core.ops import _chain, _deps, _set_chain
 from repro.core.tensor import SharedTensor
@@ -33,140 +33,80 @@ from repro.protocols.base import ProtocolBackend
 from repro.util.errors import ProtocolError
 
 
-def _exchange_masked(ctx, label, locals_, local_tasks):
-    """Eq. 5: exchange per-server masked matrices and combine.
+def _exchange_masked(ctx, label, sides):
+    """Eq. 5: exchange the per-server masked differences and combine.
 
-    ``locals_[i]`` is server i's ``E_i`` (or ``F_i``); returns the public
-    combined matrix plus, per server, the task after which that server
-    holds it.  Transmission goes through each direction's
-    :class:`~repro.comm.compression.DeltaCompressor`.
+    ``sides`` maps each live side (``"E"``, ``"F"``) to ``(locals_,
+    tasks)``: server i's masked difference and the task that produced
+    it.  Static mask reuse may cache one side, so one or two are live.
+    Every live side of the round rides one framed message per direction
+    (a :class:`~repro.comm.wire.RoundCoalescer` packs them), each part
+    coded through that direction's
+    :class:`~repro.comm.compression.DeltaCompressor` under its own
+    stream key (``{label}/E/{src}``).  Returns ``{side: (combined,
+    recv_tasks)}``: the public matrix plus, per server, the task after
+    which that server holds it.
     """
-    combined = ring_add(locals_[0], locals_[1])
-    recv_tasks = []
-    send_tasks = {}
-    framed = ctx.config.wire_frames or ctx.config.coalesce_rounds
-    for src in (0, 1):
-        dst = 1 - src
-        payload = ctx.compressors[(src, dst)].encode(f"{label}/{src}", locals_[src])
-        # Sender-side compression scan (cheap, bandwidth bound).
-        scan = ctx.server_reconstruct_cpu[src].run(
-            ctx.config.cpu_spec.elementwise_seconds(
-                locals_[src].nbytes, parallel=ctx.config.cpu_parallel
-            )
-            * (0.5 if ctx.config.compression else 0.0),
-            deps=_deps(local_tasks[src]),
-            label=f"{label}:compress",
-        )
-        if framed:
-            # Charge the exact framed size (header + raw body) of what
-            # would cross the transport, not the raw-array estimate.
-            sizes = frame_sizes(f"{label}/{src}", payload.wire_view())
-            send_tasks[src] = ctx.server_channel.send_framed(
-                f"server{src}", f"server{dst}", sizes, deps=(scan,), label=f"{label}:send"
-            )
-            wire_nbytes = sizes.nbytes
-        else:
-            send_tasks[src] = ctx.server_channel.send(
-                f"server{src}", f"server{dst}", payload.wire_bytes,
-                deps=(scan,), label=f"{label}:send",
-            )
-            wire_nbytes = payload.wire_bytes
-        # Transcript tap: log the masked matrix the receiver can
-        # reconstruct (the information content of the wire), not the
-        # CSR delta encoding — deltas of truncated shares are
-        # legitimately non-uniform, the masked matrix must not be.
-        ctx.record_wire(
-            f"server{src}", f"server{dst}", f"{label}/{src}",
-            locals_[src], nbytes=wire_nbytes,
-        )
-        # Receiver replays the compressor state machine for exactness.
-        decoded = ctx.compressors[(src, dst)].decode(payload)
-        if not np.array_equal(decoded, locals_[src]):  # pragma: no cover - invariant
-            raise ProtocolError(f"compression round-trip mismatch on stream {label}/{src}")
-    for dst in (0, 1):
-        src = 1 - dst
-        combine = ctx.server_reconstruct_cpu[dst].elementwise(
-            ring_add,
-            [locals_[dst], locals_[src]],
-            deps=_deps(local_tasks[dst], send_tasks[src]),
-            label=f"{label}:combine",
-        )[1]
-        recv_tasks.append(combine)
-    return combined, recv_tasks
-
-
-def _exchange_masked_pair(ctx, label, e_locals, e_tasks, f_locals, f_tasks):
-    """Coalesced Eq. 5 round: E_i and F_i ride one framed message each way.
-
-    The baseline sends the two masked differences of one multiplication
-    as two messages per direction; they belong to the same protocol
-    round, so a :class:`~repro.comm.wire.RoundCoalescer` packs them into
-    one frame per (link, round) — one latency charge instead of two.
-    Compression streams keep their baseline keys (``{label}/E/{src}``),
-    so the dense/CSR decisions are unchanged; only message packing and
-    therefore cost differs.  Returns ``(e, e_tasks, f, f_tasks)`` with
-    the same meaning as two :func:`_exchange_masked` calls.
-    """
-    e = ring_add(e_locals[0], e_locals[1])
-    f = ring_add(f_locals[0], f_locals[1])
-    coalescer = RoundCoalescer(f"{label}/EF")
+    names = "".join(sides)
+    coalescer = RoundCoalescer(f"{label}/{names}")
     payloads = {}
     for src in (0, 1):
         dst = 1 - src
-        pe = ctx.compressors[(src, dst)].encode(f"{label}/E/{src}", e_locals[src])
-        pf = ctx.compressors[(src, dst)].encode(f"{label}/F/{src}", f_locals[src])
-        coalescer.add(f"server{src}", f"server{dst}", f"{label}/E/{src}", pe.wire_view())
-        coalescer.add(f"server{src}", f"server{dst}", f"{label}/F/{src}", pf.wire_view())
-        payloads[src] = (pe, pf)
+        payloads[src] = []
+        for side, (locals_, _) in sides.items():
+            key = f"{label}/{side}/{src}"
+            payload = ctx.compressors[(src, dst)].encode(key, locals_[src])
+            coalescer.add(f"server{src}", f"server{dst}", key, payload.wire_view())
+            payloads[src].append(payload)
     send_tasks = {}
     for frame in coalescer.flush():
         src = int(frame.src.removeprefix("server"))
         dst = 1 - src
-        # One compression scan covers both matrices of the round.
+        # Sender-side compression scan (cheap, bandwidth bound), one
+        # pass over every matrix of the round.
         scan = ctx.server_reconstruct_cpu[src].run(
             ctx.config.cpu_spec.elementwise_seconds(
-                e_locals[src].nbytes + f_locals[src].nbytes,
+                sum(locals_[src].nbytes for locals_, _ in sides.values()),
                 parallel=ctx.config.cpu_parallel,
             )
             * (0.5 if ctx.config.compression else 0.0),
-            deps=_deps(e_tasks[src], f_tasks[src]),
+            deps=_deps(*(tasks[src] for _, tasks in sides.values())),
             label=f"{label}:compress",
         )
+        sizes = frame.sizes
         send_tasks[src] = ctx.server_channel.send_framed(
-            frame.src, frame.dst, frame.sizes,
-            deps=(scan,), label=f"{label}:sendEF", parts=frame.n_parts,
+            frame.src, frame.dst, sizes,
+            deps=(scan,), label=f"{label}:send{names}", parts=frame.n_parts,
         )
-        # One transcript record per packed frame; its captured content is
-        # the concatenation of the parts' masked matrices, so per-link
-        # content streams stay byte-identical to the uncoalesced run.
+        # Transcript tap: log the masked matrices the receiver can
+        # reconstruct (the information content of the wire), not the
+        # CSR delta encoding — deltas of truncated shares are
+        # legitimately non-uniform, the masked matrices must not be.
         ctx.record_wire(
-            frame.src, frame.dst, f"{label}/EF/{src}",
-            (e_locals[src], f_locals[src]), nbytes=frame.sizes.nbytes,
+            frame.src, frame.dst, f"{label}/{names}/{src}",
+            tuple(locals_[src] for locals_, _ in sides.values()), nbytes=sizes.nbytes,
         )
-        for payload, locals_ in zip(payloads[src], (e_locals[src], f_locals[src])):
+        # Receiver replays the compressor state machine for exactness.
+        for payload, (locals_, _) in zip(payloads[src], sides.values()):
             decoded = ctx.compressors[(src, dst)].decode(payload)
-            if not np.array_equal(decoded, locals_):  # pragma: no cover - invariant
+            if not np.array_equal(decoded, locals_[src]):  # pragma: no cover - invariant
                 raise ProtocolError(
                     f"compression round-trip mismatch on stream {payload.key}"
                 )
-    e_recv, f_recv = [], []
+    recv = {side: [] for side in sides}
     for dst in (0, 1):
         src = 1 - dst
-        ce = ctx.server_reconstruct_cpu[dst].elementwise(
-            ring_add,
-            [e_locals[dst], e_locals[src]],
-            deps=_deps(e_tasks[dst], send_tasks[src]),
-            label=f"{label}:combineE",
-        )[1]
-        cf = ctx.server_reconstruct_cpu[dst].elementwise(
-            ring_add,
-            [f_locals[dst], f_locals[src]],
-            deps=_deps(f_tasks[dst], send_tasks[src]),
-            label=f"{label}:combineF",
-        )[1]
-        e_recv.append(ce)
-        f_recv.append(cf)
-    return e, e_recv, f, f_recv
+        for side, (locals_, tasks) in sides.items():
+            recv[side].append(ctx.server_reconstruct_cpu[dst].elementwise(
+                ring_add,
+                [locals_[dst], locals_[src]],
+                deps=_deps(tasks[dst], send_tasks[src]),
+                label=f"{label}:combine{side}",
+            )[1])
+    return {
+        side: (ring_add(locals_[0], locals_[1]), recv[side])
+        for side, (locals_, _) in sides.items()
+    }
 
 
 class Beaver2PCBackend(ProtocolBackend):
@@ -245,29 +185,19 @@ class Beaver2PCBackend(ProtocolBackend):
                 )
                 f_locals.append(f_i)
                 f_tasks_local.append(tf)
-        if ctx.config.coalesce_rounds and cached_e is None and cached_f is None:
-            # Both halves of the Eq. 5 round are live: pack them into one
-            # framed message per direction.  With a cached side there is
-            # no same-round pair, so the path below handles it.
-            e, e_tasks, f, f_tasks = _exchange_masked_pair(
-                ctx, label, e_locals, e_tasks_local, f_locals, f_tasks_local
-            )
-            if reuse:
-                ctx.store_masked(label, "E", x, triplet, e)
-                ctx.store_masked(label, "F", y, triplet, f)
-        else:
+        sides = {}
+        if cached_e is None:
+            sides["E"] = (e_locals, e_tasks_local)
+        if cached_f is None:
+            sides["F"] = (f_locals, f_tasks_local)
+        exchanged = _exchange_masked(ctx, label, sides)
+        e, e_tasks = exchanged.get("E", (cached_e, [None, None]))
+        f, f_tasks = exchanged.get("F", (cached_f, [None, None]))
+        if reuse:
             if cached_e is None:
-                e, e_tasks = _exchange_masked(ctx, f"{label}/E", e_locals, e_tasks_local)
-                if reuse:
-                    ctx.store_masked(label, "E", x, triplet, e)
-            else:
-                e, e_tasks = cached_e, [None, None]
+                ctx.store_masked(label, "E", x, triplet, e)
             if cached_f is None:
-                f, f_tasks = _exchange_masked(ctx, f"{label}/F", f_locals, f_tasks_local)
-                if reuse:
-                    ctx.store_masked(label, "F", y, triplet, f)
-            else:
-                f, f_tasks = cached_f, [None, None]
+                ctx.store_masked(label, "F", y, triplet, f)
 
         # --- GPU operation (online) ------------------------------------------
         decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
@@ -350,19 +280,12 @@ class Beaver2PCBackend(ProtocolBackend):
             e_tasks_local.append(te)
             f_tasks_local.append(tf)
         flat = lambda a: a.reshape(a.shape[0], -1) if a.ndim != 2 else a  # noqa: E731
-        if ctx.config.coalesce_rounds:
-            e, e_tasks, f, f_tasks = _exchange_masked_pair(
-                ctx, label,
-                [flat(v) for v in e_locals], e_tasks_local,
-                [flat(v) for v in f_locals], f_tasks_local,
-            )
-        else:
-            e, e_tasks = _exchange_masked(
-                ctx, f"{label}/E", [flat(v) for v in e_locals], e_tasks_local
-            )
-            f, f_tasks = _exchange_masked(
-                ctx, f"{label}/F", [flat(v) for v in f_locals], f_tasks_local
-            )
+        exchanged = _exchange_masked(ctx, label, {
+            "E": ([flat(v) for v in e_locals], e_tasks_local),
+            "F": ([flat(v) for v in f_locals], f_tasks_local),
+        })
+        e, e_tasks = exchanged["E"]
+        f, f_tasks = exchanged["F"]
         e = e.reshape(x.shape)
         f = f.reshape(x.shape)
 
@@ -447,28 +370,19 @@ class Beaver2PCBackend(ProtocolBackend):
         ]
         half = res.online_bytes // 2
         extra_latency = (res.rounds - 1) * ctx.config.server_link.latency_s
-        framed = ctx.config.wire_frames or ctx.config.coalesce_rounds
         net_tasks = []
         for src in (0, 1):
-            if framed:
-                # The bit rounds are costed in aggregate, so frame them as
-                # one opaque blob: header once, body = the aggregate bytes.
-                sizes = blob_frame_sizes(f"{label}:rounds", half)
-                t = ctx.server_channel.send_framed(
-                    f"server{src}", f"server{1 - src}", sizes,
-                    deps=(cpu_tasks[src],), label=f"{label}:rounds",
-                )
-                wire_nbytes = sizes.nbytes
-            else:
-                t = ctx.server_channel.send(
-                    f"server{src}", f"server{1 - src}", half,
-                    deps=(cpu_tasks[src],), label=f"{label}:rounds",
-                )
-                wire_nbytes = half
+            # The bit rounds are costed in aggregate, so frame them as
+            # one opaque blob: header once, body = the aggregate bytes.
+            sizes = blob_frame_sizes(f"{label}:rounds", half)
+            t = ctx.server_channel.send_framed(
+                f"server{src}", f"server{1 - src}", sizes,
+                deps=(cpu_tasks[src],), label=f"{label}:rounds",
+            )
             # Size-only transcript record: the GMW bit rounds are costed in
             # aggregate, their per-round content is not materialized here.
             ctx.record_wire(
-                f"server{src}", f"server{1 - src}", f"{label}:rounds", nbytes=wire_nbytes
+                f"server{src}", f"server{1 - src}", f"{label}:rounds", nbytes=sizes.nbytes
             )
             t2 = ctx.online_clock.run(
                 f"link.server{src}->server{1 - src}", extra_latency, deps=(t,), label=f"{label}:latency"

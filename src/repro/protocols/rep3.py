@@ -46,22 +46,16 @@ from repro.protocols.base import ProtocolBackend
 
 
 def _send_array(ctx, link, src, dst, tag, payload, deps, label):
-    """One masked-array message, framed when the wire codec is on.
+    """One masked-array message, charged at its framed size.
 
     Rep3 never sends two messages on the same directed link in the same
-    round (the resharing ring rotates one message per link), so
-    ``coalesce_rounds`` has nothing to pack here — it only implies framed
-    accounting, keeping cross-backend byte comparisons on one codec.
-    Returns the delivery task after recording the transcript tap.
+    round (the resharing ring rotates one message per link), so there is
+    nothing to coalesce: each message is its own frame.  Returns the
+    delivery task after recording the transcript tap.
     """
-    if ctx.config.wire_frames or ctx.config.coalesce_rounds:
-        sizes = frame_sizes(tag, payload)
-        task = link.send_framed(src, dst, sizes, deps=deps, label=label)
-        wire_nbytes = sizes.nbytes
-    else:
-        task = link.send(src, dst, payload.nbytes, deps=deps, label=label)
-        wire_nbytes = payload.nbytes
-    ctx.record_wire(src, dst, tag, payload, nbytes=wire_nbytes)
+    sizes = frame_sizes(tag, payload)
+    task = link.send_framed(src, dst, sizes, deps=deps, label=label)
+    ctx.record_wire(src, dst, tag, payload, nbytes=sizes.nbytes)
     return task
 
 
@@ -353,24 +347,15 @@ class Rep3Backend(ProtocolBackend):
         half = res.online_bytes // 2
         extra_latency = (res.rounds - 1) * ctx.config.server_link.latency_s
         link = ctx.server_link(0, 2)
-        framed = ctx.config.wire_frames or ctx.config.coalesce_rounds
         net_tasks = {}
         for src, dst in ((0, 2), (2, 0)):
-            if framed:
-                sizes = blob_frame_sizes(f"{label}:rounds", half)
-                t = link.send_framed(
-                    f"server{src}", f"server{dst}", sizes,
-                    deps=(cpu_tasks[src],), label=f"{label}:rounds",
-                )
-                wire_nbytes = sizes.nbytes
-            else:
-                t = link.send(
-                    f"server{src}", f"server{dst}", half,
-                    deps=(cpu_tasks[src],), label=f"{label}:rounds",
-                )
-                wire_nbytes = half
+            sizes = blob_frame_sizes(f"{label}:rounds", half)
+            t = link.send_framed(
+                f"server{src}", f"server{dst}", sizes,
+                deps=(cpu_tasks[src],), label=f"{label}:rounds",
+            )
             ctx.record_wire(
-                f"server{src}", f"server{dst}", f"{label}:rounds", nbytes=wire_nbytes
+                f"server{src}", f"server{dst}", f"{label}:rounds", nbytes=sizes.nbytes
             )
             net_tasks[dst] = ctx.online_clock.run(
                 f"link.server{src}->server{dst}", extra_latency, deps=(t,), label=f"{label}:latency"

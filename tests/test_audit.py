@@ -203,6 +203,18 @@ class TestWireAudit:
         assert audit.messages == 12
         assert audit.passed
 
+    def test_repeated_part_of_packed_frame_counted_once(self, rng):
+        # a packed E/F frame pairs a fresh E with the static operand's
+        # repeated F; the repeated part must count once
+        rec = TranscriptRecorder()
+        f = rng.integers(0, 2**64, size=512, dtype=np.uint64)
+        for _ in range(12):
+            e = rng.integers(0, 2**64, size=64, dtype=np.uint64)
+            rec.record("s0", "s1", "EF/0", (e, f), nbytes=e.nbytes + f.nbytes)
+        (audit,) = audit_transcript(rec.transcript()).audits
+        assert audit.content_bytes == f.nbytes + 12 * 64 * 8
+        assert audit.passed
+
     def test_chi2_helper_matches_security_suite_semantics(self, rng):
         uniform = rng.integers(0, 2**64, size=4096, dtype=np.uint64)
         assert chi2_uniform_bytes(uniform) < CHI2_CEILING
@@ -241,7 +253,7 @@ class TestContextRecording:
         ctx, t = _recorded_training_run()
         exchanges = [
             r for r in t.records_for(src="server0", dst="server1")
-            if "/E/" in r.tag or "/F/" in r.tag
+            if any(f"/{side}/" in r.tag for side in ("E", "F", "EF"))
         ]
         assert exchanges
         assert any(len(r.payload) > r.nbytes for r in exchanges), (

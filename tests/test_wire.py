@@ -1,10 +1,11 @@
 """The framed wire codec: round-trips, exact sizing, coalescing, checksums.
 
 Property-based coverage (hypothesis) of the encode/decode pair over
-arbitrary dtypes, shapes (including empty and 0-d) and nested payloads;
-exactness of :func:`frame_sizes` against the materialized frame; the
-coalescer's order-preservation contract; and the frame-CRC checksum
-that replaced the per-message pickle in the reliable transport.
+arbitrary dtypes, shapes (including empty, 0-d and strided views) and
+nested payloads; exactness of :func:`frame_sizes` against the
+materialized frame; the decoder's contract that malformed bytes raise
+only :class:`TransportError`; the coalescer's order-preservation
+contract; and the frame-CRC checksum.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.compression import DeltaCompressor
 from repro.comm.wire import (
     MAGIC,
+    MAX_DEPTH,
     RoundCoalescer,
     blob_frame_sizes,
     content_bytes,
@@ -33,16 +36,8 @@ from repro.util.errors import TransportError
 DTYPES = (
     np.uint8, np.uint16, np.uint32, np.uint64,
     np.int8, np.int32, np.int64,
-    np.float32, np.float64, np.bool_,
+    np.float32, np.float64, np.complex128, np.bool_,
 )
-
-
-@dataclass
-class Blob:
-    """A non-array leaf for the pickle escape hatch (module-level: picklable)."""
-
-    label: str
-    data: np.ndarray
 
 
 @dataclass
@@ -52,28 +47,38 @@ class Wrapped:
     inner: object
 
 
+#: Views an operand reaches the codec as: C-contiguous, transposed (the
+#: dense backward pass sends ``x.T``) or strided along the last axis.
+VIEWS = {
+    "contiguous": lambda a: a,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[..., ::2] if a.ndim else a,
+}
+
+
 @st.composite
 def _array(draw):
-    """Arbitrary-dtype arrays: 0-d, empty and up-to-3-d shapes."""
+    """Arbitrary-dtype arrays: 0-d, empty, up-to-3-d and strided views."""
     dtype = np.dtype(draw(st.sampled_from(DTYPES)))
     shape = tuple(draw(st.lists(st.integers(0, 4), min_size=0, max_size=3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if dtype == np.bool_:
-        return rng.integers(0, 2, size=shape).astype(np.bool_)
-    n = int(np.prod(shape, dtype=np.int64))
-    raw = rng.integers(0, 256, size=(n * dtype.itemsize,), dtype=np.uint8)
-    return raw.view(dtype)[:n].reshape(shape).copy()
+        arr = rng.integers(0, 2, size=shape).astype(np.bool_)
+    else:
+        n = int(np.prod(shape, dtype=np.int64))
+        raw = rng.integers(0, 256, size=(n * dtype.itemsize,), dtype=np.uint8)
+        arr = raw.view(dtype)[:n].reshape(shape).copy()
+    return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](arr)
 
 
 def payloads():
-    """Nested payloads: arrays, bytes, strings, None, scalars, containers."""
+    """Nested payloads: arrays, bytes, strings, None, ints, containers."""
     leaves = st.one_of(
         _array(),
         st.binary(max_size=64),
         st.text(max_size=16),
         st.none(),
-        st.integers(-(2**40), 2**40),
-        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.integers(-(2**63), 2**63 - 1),
     )
     return st.recursive(
         leaves,
@@ -144,23 +149,54 @@ class TestCodecRoundTrip:
 
     def test_arrays_never_pass_through_pickle(self, monkeypatch):
         def boom(*a, **k):  # pragma: no cover - should never run
-            raise AssertionError("array payload reached pickle")
+            raise AssertionError("frame codec reached pickle")
 
+        # a CSR delta's wire view: kind/key strs, shape ints, three arrays
+        compressor = DeltaCompressor(0.5)
+        matrix = np.arange(30, dtype=np.uint64).reshape(6, 5)
+        compressor.encode("k", matrix)
+        matrix[1, 2] += np.uint64(1)
+        csr = compressor.encode("k", matrix)
+        assert csr.kind == "csr_delta"
         monkeypatch.setattr(pickle, "dumps", boom)
-        payload = [np.arange(6, dtype=np.uint64), (np.zeros(3), b"x"), "tag", None]
-        tag, decoded = decode_frame(encode_frame("t", payload))
-        assert_payload_equal(payload, decoded)
+        monkeypatch.setattr(pickle, "loads", boom)
+        for payload in (
+            [np.arange(6, dtype=np.uint64), (np.zeros(3), b"x"), "tag", None],
+            (("op/E/0", csr.wire_view()), ("op/F/0", matrix)),
+        ):
+            frame = encode_frame("t", payload)
+            assert frame_sizes("t", payload).nbytes == len(frame)
+            _tag, decoded = decode_frame(frame)
+            assert_payload_equal(payload, decoded)
 
-    def test_pickle_escape_hatch_keeps_buffers_out_of_band(self):
-        big = np.arange(4096, dtype=np.uint64)
-        sizes = frame_sizes("t", Blob("x", big))
-        # body (out-of-band buffer) carries the array; the pickle
-        # skeleton in the overhead must stay tiny
-        assert sizes.body_nbytes >= big.nbytes
-        assert sizes.overhead_nbytes < 512
-        _, decoded = decode_frame(encode_frame("t", Blob("x", big)))
-        assert decoded.label == "x"
-        assert np.array_equal(decoded.data, big)
+    @pytest.mark.parametrize("leaf", [
+        Wrapped(np.arange(4, dtype=np.uint64)),
+        1.5,
+        True,
+        np.int64(3),
+        2**63,
+        np.array(["a", "b"]),
+        np.array([object()], dtype=object),
+    ], ids=["wrapper", "float", "bool", "numpy_int", "int_overflow", "str_array", "object_array"])
+    def test_unsupported_leaf_rejected(self, leaf):
+        # no escape hatch: what the codec cannot type, it refuses — the
+        # fault injector's tamper wrapper included
+        for fn in (encode_frame, frame_sizes):
+            with pytest.raises(TransportError):
+                fn("t", [np.zeros(2, dtype=np.uint64), leaf])
+        with pytest.raises(TransportError):
+            payload_checksum(leaf)
+
+    def test_sizing_never_copies_bodies(self, monkeypatch):
+        # a transposed operand is sized from its header and nbytes; only
+        # encoding (which must emit C order) may make it contiguous
+        def boom(*a, **k):  # pragma: no cover - should never run
+            raise AssertionError("frame_sizes copied an array body")
+
+        operand = np.ones((784, 128), dtype=np.uint64).T
+        monkeypatch.setattr(np, "ascontiguousarray", boom)
+        sizes = frame_sizes("t", (operand, operand[:, ::2]))
+        assert sizes.body_nbytes == operand.nbytes + operand[:, ::2].nbytes
 
     def test_bad_magic_rejected(self):
         with pytest.raises(TransportError, match="magic"):
@@ -176,11 +212,56 @@ class TestCodecRoundTrip:
         with pytest.raises(TransportError, match="trailing"):
             decode_frame(frame + b"\x00")
 
+    def test_deep_nesting_rejected(self):
+        # a 25 KB frame of nested one-element lists must not reach the
+        # interpreter's recursion limit
+        depth = 5000
+        frame = (
+            MAGIC + b"\x00\x00\x00"
+            + (bytes([2]) + (1).to_bytes(4, "little")) * depth
+            + bytes([4])
+        )
+        with pytest.raises(TransportError, match="nesting"):
+            decode_frame(frame)
+        nested = None
+        for _ in range(MAX_DEPTH):
+            nested = [nested]
+        assert_payload_equal(nested, decode_frame(encode_frame("t", nested))[1])
+        for fn in (encode_frame, frame_sizes):
+            with pytest.raises(TransportError, match="nesting"):
+                fn("t", [nested])
+
     def test_blob_sizes_match_equivalent_bytes_frame(self):
         blob = blob_frame_sizes("cmp:rounds", 1000)
         real = frame_sizes("cmp:rounds", b"\x00" * 1000)
         assert blob.nbytes == real.nbytes
         assert blob.body_nbytes == real.body_nbytes
+
+
+@pytest.mark.property
+class TestDecoderContract:
+    """Malformed frames raise TransportError and nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        payloads(),
+        st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=3),
+    )
+    def test_mutated_frames_raise_only_transport_error(self, payload, flips):
+        frame = bytearray(encode_frame("op/EF", payload))
+        for pos, value in flips:
+            frame[pos % len(frame)] = value
+        try:
+            decode_frame(bytes(frame))
+        except TransportError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(payloads(), st.integers(0, 2**16))
+    def test_truncated_frames_raise_transport_error(self, payload, cut):
+        frame = encode_frame("t", payload)
+        with pytest.raises(TransportError):
+            decode_frame(frame[: cut % len(frame)])
 
 
 class TestCoalescer:
@@ -236,9 +317,11 @@ class TestChecksum:
 
     def test_detects_wrapped_payload(self):
         # the fault injector wraps payloads in a marker object; the
-        # checksum must change even though the array bytes do not
+        # checksum must not hash the wrapper as if it were the array
         arr = np.arange(8, dtype=np.uint64)
-        assert payload_checksum(arr) != payload_checksum(Wrapped(arr))
+        payload_checksum(arr)
+        with pytest.raises(TransportError):
+            payload_checksum(Wrapped(arr))
 
     @settings(max_examples=40, deadline=None)
     @given(payloads())
