@@ -6,13 +6,7 @@ scheduling the full secure-GEMM flow (H2D transfers + kernels + D2H) on
 the simulated device and reading the kernel/transfer split.
 """
 
-import numpy as np
-
 from repro.bench.reporting import format_table
-from repro.mpc.protocol import combine_masked, masked_difference
-from repro.mpc.shares import share_secret
-from repro.mpc.triplets import TripletDealer
-from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.simgpu.clock import SimClock
 from repro.simgpu.cost import V100_SPEC
 from repro.simgpu.device import SimGPU
@@ -22,10 +16,6 @@ DIMS = [1024, 2048, 4096, 8192, 16384]
 
 def gemm_fraction(n: int) -> float:
     """Run one n x n secure GEMM on the device; kernel share of total."""
-    rng = np.random.default_rng(0)
-    # Synthetic ring shares of the right shape (values irrelevant to
-    # timing; keep allocation small by reusing one buffer pattern).
-    a = rng.integers(0, 2**64, size=(n, n), dtype=np.uint64)
     clock = SimClock()
     gpu = SimGPU(clock, V100_SPEC, "g")
     # time only: charge transfers and kernels per the Fig. 5 schedule

@@ -63,7 +63,7 @@ def test_fused_batch_generation_wall_clock():
     def fused():
         ctx = SecureContext(FrameworkConfig.parsecureml(pool_size=count))
         start = time.perf_counter()
-        ctx._gen_matrix_triplet_batch(shape_a, shape_b, count)
+        ctx.gen_matrix_triplet(shape_a, shape_b, count)
         return time.perf_counter() - start
 
     def singles():

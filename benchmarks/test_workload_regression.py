@@ -41,7 +41,6 @@ def fresh(reference):
     """Re-run the suite with the committed run's parameters."""
     first = reference[0]
     cfg = FrameworkConfig.parsecureml(
-        activation_protocol="emulated",
         runtime=first.get("runtime", "lockstep"),
         backend=first.get("backend", "beaver2pc"),
     )

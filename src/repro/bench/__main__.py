@@ -41,9 +41,10 @@ def _configs(
     static_mask_reuse: bool = False,
     backends: list[str] | None = None,
     runtime: str = "lockstep",
+    activation_protocol: str = "emulated",
 ):
-    par = FrameworkConfig.parsecureml(activation_protocol="emulated", runtime=runtime)
-    sml = FrameworkConfig.secureml(activation_protocol="emulated", runtime=runtime)
+    par = FrameworkConfig.parsecureml(activation_protocol=activation_protocol, runtime=runtime)
+    sml = FrameworkConfig.secureml(activation_protocol=activation_protocol, runtime=runtime)
     rows = {"par": [("ParSecureML", par)], "sml": [("SecureML", sml)],
             "both": [("SecureML", sml), ("ParSecureML", par)]}[which]
     if (pool_size > 0 or static_mask_reuse) and which in ("par", "both"):
@@ -165,10 +166,12 @@ def main(argv: list[str] | None = None) -> int:
     results = []
     rows = []
     if args.workloads:
+        # The workload rows run the default dealer comparison, so they
+        # are the same runs a FrameworkConfig() session makes.
         for name, cfg in _configs(
             "par", pool_size=args.pool_size,
             static_mask_reuse=args.static_mask_reuse, backends=args.backend,
-            runtime=args.runtime,
+            runtime=args.runtime, activation_protocol="dealer",
         ):
             figure_rows = run_workload_figures(
                 cfg, n_batches=args.batches, batch_size=args.batch_size,

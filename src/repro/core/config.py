@@ -64,10 +64,10 @@ class FrameworkConfig:
 
     # Batched offline provisioning.  pool_size > 0 banks pre-generated
     # triplets per op-stream shape, refilled in fused dealer batches of
-    # at most pool_size (one stacked ring GEMM + one vectorised mask
-    # draw + one upload per refill) — the --pool-size bench knob.  0
-    # disables the pool: every triplet is generated synchronously at
-    # first use, the historical behaviour.
+    # at most pool_size (one stacked ring GEMM + one mask draw + one
+    # upload per refill) — the --pool-size bench knob.  0 disables the
+    # pool: the dealer deals each triplet as a batch of one at its op
+    # stream's first use.
     pool_size: int = 0
 
     # Static-operand mask reuse.  When on, operands marked static (layer

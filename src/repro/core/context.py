@@ -31,10 +31,9 @@ from repro.core.config import FrameworkConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.reliable import ResilientChannel
 from repro.fixedpoint.encoding import FixedPointEncoder
-from repro.fixedpoint.ring import ring_matmul, ring_matmul_batched, ring_mul, ring_sub
+from repro.fixedpoint.ring import ring_matmul, ring_matmul_batched, ring_mul
 from repro.mpc.comparison import ComparisonBundle, ComparisonDealer
 from repro.mpc.pool import TripletPool, TripletRequest
-from repro.mpc.prandom import ThreadSafeGeneratorPool, parallel_uniform_ring
 from repro.mpc.shares import SharePair
 from repro.mpc.triplets import ElementwiseTriplet, MatrixTriplet
 from repro.pipeline.profiler import StepProfiler
@@ -42,7 +41,7 @@ from repro.protocols import get_backend
 from repro.simgpu.clock import SimClock
 from repro.simgpu.device import SimCPU, SimGPU
 from repro.telemetry import Telemetry
-from repro.util.errors import ProtocolError
+from repro.util.errors import ProtocolError, ShapeError
 from repro.util.seeding import SeedSequenceFactory
 
 
@@ -250,17 +249,15 @@ class SecureContext:
         self._elementwise_triplets: dict[str, ElementwiseTriplet] = {}
 
         # Batched offline provisioning (pool_size > 0): a shape-keyed
-        # bank of pre-generated triplets, refilled by the fused batch
-        # generators below on the offline clock.  Label-cache misses
-        # draw from the pool before falling back to synchronous
-        # generation; fresh_triplets bypasses the pool entirely.
-        self._mask_pool = ThreadSafeGeneratorPool(
-            min(8, cfg.cpu_spec.n_cores), seed=self.seeds.seed_for("triplet-pool")
-        )
+        # bank of pre-generated triplets, refilled in chunks of up to
+        # pool_size by the one dealer (gen_*_triplet) on the offline
+        # clock.  Label-cache misses draw from the pool before asking
+        # the dealer for a batch of one; fresh_triplets bypasses the
+        # pool entirely.
         self.triplet_pool = (
             TripletPool(
-                self._gen_matrix_triplet_batch,
-                self._gen_elementwise_triplet_batch,
+                self.gen_matrix_triplet,
+                self.gen_elementwise_triplet,
                 max_batch=cfg.pool_size,
                 telemetry=self.telemetry,
             )
@@ -466,28 +463,6 @@ class SecureContext:
                     nbytes=nbytes_per_server, clock="offline",
                 )
 
-    def _client_matmul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Z = U x V on the client, GPU-accelerated when profitable.
-
-        The paper's offline acceleration: this one product is >90% of
-        the offline compute, so it goes to the client GPU; everything
-        else stays on the CPU (Section 4.2).
-        """
-        m, k = u.shape
-        n = v.shape[1]
-        decision = self.profiler.place_gemm(m, k, n, operands_on_gpu=False)
-        if decision.placement == "gpu" and self.client_gpu is not None:
-            gpu = self.client_gpu
-            u_buf, t_u = gpu.h2d(u, label="offline:h2d:U")
-            v_buf, t_v = gpu.h2d(v, label="offline:h2d:V")
-            z_buf, t_z = gpu.gemm_ring(u_buf, v_buf, deps=(t_u, t_v), label="offline:U@V")
-            z, _ = gpu.d2h(z_buf, deps=(t_z,), label="offline:d2h:Z")
-            for b in (u_buf, v_buf, z_buf):
-                gpu.free(b)
-            return z
-        z, _ = self.client_cpu.gemm_ring(u, v, label="offline:U@V")
-        return z
-
     def _share_with_timing(self, secret: np.ndarray, label: str):
         """Backend share split plus the client-side cost it implies.
 
@@ -531,176 +506,103 @@ class SecureContext:
         )
         return pair
 
-    def gen_matrix_triplet(self, shape_a, shape_b) -> MatrixTriplet:
-        """Offline generation of one matrix Beaver triplet, fully costed."""
-        self._require_dealer("gen_matrix_triplet")
-        rng = self._dealer_rng
-        u = rng.integers(0, 2**64, size=shape_a, dtype=np.uint64)
-        v = rng.integers(0, 2**64, size=shape_b, dtype=np.uint64)
-        self._charge_client_rng(u.nbytes + v.nbytes, "triplet:rng")
-        z = self._client_matmul(u, v)
-        triplet = MatrixTriplet(
-            u=self._share_with_timing(u, "triplet:U"),
-            v=self._share_with_timing(v, "triplet:V"),
-            z=self._share_with_timing(z, "triplet:Z"),
-            shape_a=tuple(shape_a),
-            shape_b=tuple(shape_b),
-        )
-        self._upload(
-            u.nbytes + v.nbytes + z.nbytes, "triplet:upload",
-            contents=tuple(
-                (getattr(triplet.u, f"share{i}"), getattr(triplet.v, f"share{i}"),
-                 getattr(triplet.z, f"share{i}"))
-                for i in (0, 1)
-            ),
-        )
-        self._triplets_generated.inc(
-            1, kind="matrix", shape=f"{tuple(shape_a)}x{tuple(shape_b)}"
-        )
-        return triplet
-
-    def gen_elementwise_triplet(self, shape) -> ElementwiseTriplet:
-        self._require_dealer("gen_elementwise_triplet")
-        rng = self._dealer_rng
-        u = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        v = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        self._charge_client_rng(u.nbytes + v.nbytes, "etriplet:rng")
-        z = ring_mul(u, v)
-        self._charge_client_elementwise(3 * u.nbytes, "etriplet:mul")
-        triplet = ElementwiseTriplet(
-            u=self._share_with_timing(u, "etriplet:U"),
-            v=self._share_with_timing(v, "etriplet:V"),
-            z=self._share_with_timing(z, "etriplet:Z"),
-            shape=tuple(shape),
-        )
-        self._upload(
-            3 * u.nbytes, "etriplet:upload",
-            contents=tuple(
-                (getattr(triplet.u, f"share{i}"), getattr(triplet.v, f"share{i}"),
-                 getattr(triplet.z, f"share{i}"))
-                for i in (0, 1)
-            ),
-        )
-        self._triplets_generated.inc(1, kind="elementwise", shape=str(tuple(shape)))
-        return triplet
-
-    # --------------------------------------------- batched offline provisioning
-
-    def _pool_uniform(self, shape: tuple[int, ...]) -> np.ndarray:
-        """One vectorised mask draw for a whole refill stack (Section 5.1)."""
-        if len(shape) >= 2:
-            return parallel_uniform_ring(shape, self._mask_pool)
-        return self._dealer_rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+    # ------------------------------------------------------- the triplet dealer
 
     def _client_matmul_batched(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Fused ``Z = U x V`` over a (B,m,k) x (B,k,n) refill stack.
+        """``Z = U x V`` over a (B,m,k) x (B,k,n) stack on the client.
 
-        One strided-batched launch on the client GPU (one PCIe round
-        trip for the whole stack) when profitable; otherwise B
-        sequential products on the client CPU.
+        The paper's offline acceleration: this product is >90% of the
+        offline compute, so it goes to the client GPU when profitable —
+        one strided-batched launch and one PCIe round trip for the whole
+        stack — and everything else stays on the CPU (Section 4.2).
+        Otherwise the client CPU runs B sequential products.
         """
         count, m, k = u.shape
         n = v.shape[2]
         decision = self.profiler.place_gemm_batched(count, m, k, n)
         if decision.placement == "gpu" and self.client_gpu is not None:
             gpu = self.client_gpu
-            u_buf, t_u = gpu.h2d(u, label="pool:h2d:U")
-            v_buf, t_v = gpu.h2d(v, label="pool:h2d:V")
-            z_buf, t_z = gpu.gemm_ring_batched(u_buf, v_buf, deps=(t_u, t_v), label="pool:U@V")
-            z, _ = gpu.d2h(z_buf, deps=(t_z,), label="pool:d2h:Z")
+            u_buf, t_u = gpu.h2d(u, label="offline:h2d:U")
+            v_buf, t_v = gpu.h2d(v, label="offline:h2d:V")
+            z_buf, t_z = gpu.gemm_ring_batched(u_buf, v_buf, deps=(t_u, t_v), label="offline:U@V")
+            z, _ = gpu.d2h(z_buf, deps=(t_z,), label="offline:d2h:Z")
             for b in (u_buf, v_buf, z_buf):
                 gpu.free(b)
             return z
         z = ring_matmul_batched(u, v)
         self.client_cpu.run(
-            count * self.config.cpu_spec.gemm_seconds(m, k, n), label="pool:U@V", kind="gemm"
+            count * self.config.cpu_spec.gemm_seconds(m, k, n), label="offline:U@V", kind="gemm"
         )
         return z
 
-    def _gen_matrix_triplet_batch(self, shape_a, shape_b, count: int) -> list[MatrixTriplet]:
-        """Fused offline generation of ``count`` same-shaped matrix triplets.
+    def _client_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``Z = U * V`` (elementwise) on the client CPU."""
+        z = ring_mul(u, v)
+        self._charge_client_elementwise(3 * u.nbytes, "etriplet:mul")
+        return z
 
-        The whole refill is one vectorised mask draw, one batched ring
-        GEMM, one share split and one upload message per server — the
-        per-triplet fixed costs (curand warm-up, kernel launches, PCIe
-        and channel latency) are paid once per batch instead of once
-        per triplet.
+    def _deal(self, kind: str, prefix: str, u_shape, v_shape, product) -> list[tuple]:
+        """One dealer pass over a stack of ``u_shape[0]`` triplets.
+
+        Draws the stacked masks U and V from the dealer stream, forms
+        ``Z = product(U, V)``, shares all three and uploads them in one
+        message per server.  Each upload carries every triplet's own
+        (U_i, V_i, Z_i) slices in stack order, so the recorded content
+        of a one-triplet pass is exactly that triplet's shares.  Returns
+        one ``(u, v, z)`` tuple of :class:`SharePair` per triplet.
         """
-        m, k = tuple(shape_a)
-        n = tuple(shape_b)[1]
-        with self.telemetry.span("pool.refill", clock="offline", kind="matrix", count=count):
-            # Per-phase sub-spans: how a refill's offline time splits
-            # between mask drawing, the dealer GEMM, share splitting and
-            # the upload (see EXPERIMENTS.md, offline-makespan analysis).
-            with self.telemetry.span("pool.refill.rng", clock="offline", kind="matrix"):
-                u = self._pool_uniform((count, m, k))
-                v = self._pool_uniform((count, k, n))
-                self._charge_client_rng(u.nbytes + v.nbytes, "pool:rng")
-            with self.telemetry.span("pool.refill.gemm", clock="offline", kind="matrix"):
-                z = self._client_matmul_batched(u, v)
-            with self.telemetry.span("pool.refill.share", clock="offline", kind="matrix"):
-                u_pair = self._share_with_timing(u, "pool:U")
-                v_pair = self._share_with_timing(v, "pool:V")
-                z_pair = self._share_with_timing(z, "pool:Z")
-            with self.telemetry.span("pool.refill.upload", clock="offline", kind="matrix"):
-                self._upload(
-                    u.nbytes + v.nbytes + z.nbytes, "pool:upload",
-                    contents=tuple(
-                        (getattr(u_pair, f"share{i}"), getattr(v_pair, f"share{i}"),
-                         getattr(z_pair, f"share{i}"))
-                        for i in (0, 1)
-                    ),
-                )
-        self._triplets_generated.inc(
-            count, kind="matrix", shape=f"{tuple(shape_a)}x{tuple(shape_b)}", source="pool"
-        )
-        return [
-            MatrixTriplet(
-                u=SharePair(u_pair.share0[i], u_pair.share1[i]),
-                v=SharePair(v_pair.share0[i], v_pair.share1[i]),
-                z=SharePair(z_pair.share0[i], z_pair.share1[i]),
-                shape_a=tuple(shape_a),
-                shape_b=tuple(shape_b),
+        count = u_shape[0]
+        with self.telemetry.span("dealer.triplets", clock="offline", kind=kind, count=count):
+            u = self._dealer_rng.integers(0, 2**64, size=u_shape, dtype=np.uint64)
+            v = self._dealer_rng.integers(0, 2**64, size=v_shape, dtype=np.uint64)
+            self._charge_client_rng(u.nbytes + v.nbytes, f"{prefix}:rng")
+            z = product(u, v)
+            pairs = [
+                self._share_with_timing(x, f"{prefix}:{name}")
+                for name, x in (("U", u), ("V", v), ("Z", z))
+            ]
+            self._upload(
+                u.nbytes + v.nbytes + z.nbytes, f"{prefix}:upload",
+                contents=tuple(
+                    tuple(pair[party][i] for i in range(count) for pair in pairs)
+                    for party in (0, 1)
+                ),
             )
+        return [
+            tuple(SharePair(pair.share0[i], pair.share1[i]) for pair in pairs)
             for i in range(count)
         ]
 
-    def _gen_elementwise_triplet_batch(self, shape, count: int) -> list[ElementwiseTriplet]:
-        """Fused generation of ``count`` same-shaped elementwise triplets."""
-        stack = (count, *tuple(shape))
-        with self.telemetry.span("pool.refill", clock="offline", kind="elementwise", count=count):
-            with self.telemetry.span("pool.refill.rng", clock="offline", kind="elementwise"):
-                u = self._pool_uniform(stack)
-                v = self._pool_uniform(stack)
-                self._charge_client_rng(u.nbytes + v.nbytes, "pool:rng")
-            with self.telemetry.span("pool.refill.gemm", clock="offline", kind="elementwise"):
-                z = ring_mul(u, v)
-                self._charge_client_elementwise(3 * u.nbytes, "pool:mul")
-            with self.telemetry.span("pool.refill.share", clock="offline", kind="elementwise"):
-                u_pair = self._share_with_timing(u, "pool:U")
-                v_pair = self._share_with_timing(v, "pool:V")
-                z_pair = self._share_with_timing(z, "pool:Z")
-            with self.telemetry.span("pool.refill.upload", clock="offline", kind="elementwise"):
-                self._upload(
-                    3 * u.nbytes, "pool:upload",
-                    contents=tuple(
-                        (getattr(u_pair, f"share{i}"), getattr(v_pair, f"share{i}"),
-                         getattr(z_pair, f"share{i}"))
-                        for i in (0, 1)
-                    ),
-                )
-        self._triplets_generated.inc(
-            count, kind="elementwise", shape=str(tuple(shape)), source="pool"
+    def gen_matrix_triplet(self, shape_a, shape_b, count: int = 1) -> list[MatrixTriplet]:
+        """The offline dealer: ``count`` matrix Beaver triplets, fully costed.
+
+        One stacked mask draw from the dealer stream, one fused
+        ``Z = U x V`` (:meth:`_client_matmul_batched`), one share split
+        and one upload message per server, whatever ``count`` is.  A
+        label-cache miss and ``fresh_triplets`` ask for one triplet; the
+        pool's refills ask for a chunk of up to ``pool_size``.
+        """
+        self._require_dealer("gen_matrix_triplet")
+        shape_a, shape_b = tuple(shape_a), tuple(shape_b)
+        if len(shape_a) != 2 or len(shape_b) != 2 or shape_a[1] != shape_b[0]:
+            raise ShapeError(f"matrix triplet shapes incompatible: {shape_a} x {shape_b}")
+        dealt = self._deal(
+            "matrix", "triplet", (count, *shape_a), (count, *shape_b),
+            self._client_matmul_batched,
         )
+        self._triplets_generated.inc(count, kind="matrix", shape=f"{shape_a}x{shape_b}")
         return [
-            ElementwiseTriplet(
-                u=SharePair(u_pair.share0[i], u_pair.share1[i]),
-                v=SharePair(v_pair.share0[i], v_pair.share1[i]),
-                z=SharePair(z_pair.share0[i], z_pair.share1[i]),
-                shape=tuple(shape),
-            )
-            for i in range(count)
+            MatrixTriplet(u=u, v=v, z=z, shape_a=shape_a, shape_b=shape_b) for u, v, z in dealt
         ]
+
+    def gen_elementwise_triplet(self, shape, count: int = 1) -> list[ElementwiseTriplet]:
+        """Elementwise analogue of :meth:`gen_matrix_triplet` (``Z = U * V``)."""
+        self._require_dealer("gen_elementwise_triplet")
+        shape = tuple(shape)
+        stack = (count, *shape)
+        dealt = self._deal("elementwise", "etriplet", stack, stack, self._client_mul)
+        self._triplets_generated.inc(count, kind="elementwise", shape=str(shape))
+        return [ElementwiseTriplet(u=u, v=v, z=z, shape=shape) for u, v, z in dealt]
 
     def provision_offline(self, requests: list[TripletRequest]) -> int:
         """Bank triplets for ``requests`` in the pool (no-op without one)."""
@@ -820,7 +722,7 @@ class SecureContext:
         if self.config.fresh_triplets:
             # Single-use triplets bypass the pool: pooled material is
             # pre-drawn, which is exactly what fresh_triplets forbids.
-            triplet = self.gen_matrix_triplet(shape_a, shape_b)
+            (triplet,) = self.gen_matrix_triplet(shape_a, shape_b)
             triplet.begin_use(None, label)
             return triplet
         cached = self._matrix_triplets.get(label)
@@ -834,8 +736,8 @@ class SecureContext:
                 if self.triplet_pool is not None
                 else None
             )
-            # Pool exhaustion (or no pool): synchronous generation.
-            cached = pooled if pooled is not None else self.gen_matrix_triplet(shape_a, shape_b)
+            # Pool exhaustion (or no pool): the dealer deals a batch of one.
+            cached = pooled if pooled is not None else self.gen_matrix_triplet(shape_a, shape_b)[0]
             self._matrix_triplets[label] = cached
         cached.begin_use(self._batch_epoch, label)
         return cached
@@ -853,7 +755,7 @@ class SecureContext:
         self._require_dealer(label)
         self._triplets_consumed.inc(1, kind="elementwise", shape=str(tuple(shape)))
         if self.config.fresh_triplets:
-            triplet = self.gen_elementwise_triplet(shape)
+            (triplet,) = self.gen_elementwise_triplet(shape)
             triplet.begin_use(None, label)
             return triplet
         cached = self._elementwise_triplets.get(label)
@@ -863,7 +765,7 @@ class SecureContext:
                 if self.triplet_pool is not None
                 else None
             )
-            cached = pooled if pooled is not None else self.gen_elementwise_triplet(shape)
+            cached = pooled if pooled is not None else self.gen_elementwise_triplet(shape)[0]
             self._elementwise_triplets[label] = cached
         cached.begin_use(self._batch_epoch, label)
         return cached

@@ -19,11 +19,7 @@ baseline) and ParSecureML (the accelerated framework) run on:
 
 from repro.mpc.shares import share_secret, reconstruct, SharePair
 from repro.mpc.prandom import ThreadSafeGeneratorPool, parallel_uniform_ring
-from repro.mpc.triplets import (
-    MatrixTriplet,
-    ElementwiseTriplet,
-    TripletDealer,
-)
+from repro.mpc.triplets import MatrixTriplet, ElementwiseTriplet
 from repro.mpc.pool import TripletPool, TripletRequest, matmul_stream, hadamard_stream
 from repro.mpc.protocol import (
     masked_difference,
@@ -42,7 +38,6 @@ __all__ = [
     "parallel_uniform_ring",
     "MatrixTriplet",
     "ElementwiseTriplet",
-    "TripletDealer",
     "TripletPool",
     "TripletRequest",
     "matmul_stream",

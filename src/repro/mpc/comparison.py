@@ -3,9 +3,9 @@
 The paper's activation (Eq. 9) is piecewise linear with breakpoints at
 ±1/2; evaluating it on a secret-shared ``x`` needs secure comparisons.
 SecureML switches to Yao garbled circuits for this; ParSecureML inherits
-the approach without detailing it.  We implement two interchangeable
-back-ends: the reference garbled-circuit engine in :mod:`repro.gc`, and
-this module's *dealer-assisted* protocol, which is the default fast path.
+the approach without detailing it.  This module implements a
+*dealer-assisted* comparison instead, in the same client-as-dealer
+model the paper's offline phase already uses.
 
 Protocol (semi-honest, trusted-dealer / commodity model)
 ---------------------------------------------------------

@@ -11,17 +11,18 @@ and one vectorised mask draw per refill chunk — and handed out one at a
 time as the online phase consumes them.
 
 The pool is deliberately passive: it owns no RNG, no devices and no
-clocks.  The :class:`~repro.core.context.SecureContext` injects two
-batch generators (which charge the offline clock, route the fused GEMM
-through the simulated GPU, and upload the whole chunk in one message)
-and calls :meth:`provision` from a model's ``offline_plan`` — so refills
-run on the offline clock, overlapping the online phase by construction
-of the two-clock simulation.
+clocks.  The :class:`~repro.core.context.SecureContext` injects its one
+dealer — ``gen_matrix_triplet`` / ``gen_elementwise_triplet``, which
+charge the offline clock, route the fused GEMM through the simulated
+GPU, and upload the whole chunk in one message — and calls
+:meth:`provision` from a model's ``offline_plan``, so refills run on the
+offline clock, overlapping the online phase by construction of the
+two-clock simulation.
 
 Telemetry (registered on the injected registry):
 
 * ``mpc.pool.hits`` / ``mpc.pool.misses`` — counters, labelled by kind;
-  a miss means the consumer fell back to synchronous generation.
+  a miss means the consumer asked the dealer for a batch of one.
 * ``mpc.pool.refills`` — counter of fused generation calls.
 * ``mpc.pool.stocked`` — gauge of triplets currently banked.
 """
@@ -103,7 +104,7 @@ class TripletPool:
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
         self._hits = registry.counter("mpc.pool.hits", "triplet requests served from the pool")
         self._misses = registry.counter(
-            "mpc.pool.misses", "triplet requests that fell back to synchronous generation"
+            "mpc.pool.misses", "triplet requests the dealer served as a batch of one"
         )
         self._refills = registry.counter("mpc.pool.refills", "fused batch generation calls")
         self._stocked = registry.gauge("mpc.pool.stocked", "triplets currently banked in the pool")

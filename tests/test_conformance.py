@@ -101,13 +101,19 @@ class TestBitIdentity:
         np.testing.assert_array_equal(base.predictions, variant.predictions)
 
     def test_pool_axis_is_tolerance_only(self):
-        # documents why pool is excluded from BIT_IDENTICAL_AXES:
-        # pooled provisioning draws triplets from a different RNG
-        # stream, and truncation rounding is share-dependent.  Dealer
-        # material only exists under beaver2pc — rep3 has no pool, so
-        # there the axis is trivially a no-op and is not asserted here.
-        base = run_conformance_case(ConformanceCase("MLP", "baseline"), audit=False)
-        pooled = run_conformance_case(ConformanceCase("MLP", "pool"), audit=False)
+        # documents why pool is excluded from BIT_IDENTICAL_AXES: the
+        # pool deals its whole plan up front, stacked per shape, so masks
+        # and share randomness reach the op streams in a different order
+        # than label-cache misses draw them.  Truncation rounding is
+        # share-dependent, so results agree within tolerance but not bit
+        # for bit — MLP training differs (some beaver2pc pool cells, MLP
+        # inference among them, happen to match exactly).  Dealer
+        # material only exists under beaver2pc: rep3 has no pool, so
+        # there the axis is a no-op and is not asserted here.
+        base = run_conformance_case(
+            ConformanceCase("MLP", "baseline", train=True), audit=False
+        )
+        pooled = run_conformance_case(ConformanceCase("MLP", "pool", train=True), audit=False)
         assert not np.array_equal(base.predictions, pooled.predictions)
         assert np.max(np.abs(base.predictions - pooled.predictions)) < 1e-3
 

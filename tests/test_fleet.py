@@ -194,7 +194,7 @@ class TestDealerService:
             assert passes.value(replica=r.name) == 1
             assert triplets.value(replica=r.name) > 0
         # every batch after provisioning hits the pool, never the
-        # synchronous fallback path
+        # dealer's batch-of-one fallback
         for r in fleet.replicas():
             assert r.ctx.telemetry.counter("mpc.pool.hits").value() > 0
 

@@ -117,7 +117,7 @@ class TestTripletRequests:
 class TestBatchedGeneration:
     def test_pooled_matrix_triplets_are_valid_beaver_triples(self):
         ctx = SecureContext(_cfg(pool_size=4))
-        triplets = ctx._gen_matrix_triplet_batch((3, 5), (5, 2), 4)
+        triplets = ctx.gen_matrix_triplet((3, 5), (5, 2), 4)
         assert len(triplets) == 4
         for trip in triplets:
             u = reconstruct(trip.u[0], trip.u[1])
@@ -129,7 +129,7 @@ class TestBatchedGeneration:
 
     def test_pooled_elementwise_triplets_are_valid(self):
         ctx = SecureContext(_cfg(pool_size=4))
-        triplets = ctx._gen_elementwise_triplet_batch((6, 3), 3)
+        triplets = ctx.gen_elementwise_triplet((6, 3), 3)
         assert len(triplets) == 3
         for trip in triplets:
             u = reconstruct(trip.u[0], trip.u[1])

@@ -99,15 +99,6 @@ class TestDiscipline:
         src = inspect.getsource(FrameworkConfig)
         assert "fresh_triplets" in src and "reused" in src
 
-    def test_gc_output_share_is_masked(self):
-        from repro.gc.compare import gc_secure_ge_const
-
-        res0 = gc_secure_ge_const(10, 20, 5, n_bits=16, seed=b"\x00")
-        res1 = gc_secure_ge_const(10, 20, 5, n_bits=16, seed=b"\x01")
-        # evaluator's share flips with the garbler's mask: it learns nothing
-        assert res0.share1 != res1.share1
-        assert (res0.share0 ^ res0.share1) == (res1.share0 ^ res1.share1)
-
     def test_distinct_streams_get_distinct_masks(self, ctx):
         t1 = ctx.get_matrix_triplet("layerA", (16, 16), (16, 16))
         t2 = ctx.get_matrix_triplet("layerB", (16, 16), (16, 16))
